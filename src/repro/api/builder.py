@@ -147,8 +147,8 @@ class SystemBuilder:
 
     def telemetry(self, enabled: bool = True) -> "SystemBuilder":
         """Toggle run-wide telemetry (latency histograms + phase spans; see
-        :mod:`repro.telemetry`).  Enabling it moves the engine onto the
-        serial gear — report bytes stay deterministic either way."""
+        :mod:`repro.telemetry`).  The engine stays on its block drain and
+        report bytes stay deterministic either way."""
         self._spec = self._spec.with_overrides(telemetry=enabled)
         return self
 

@@ -1,8 +1,10 @@
 """no-hotpath-allocation: per-event allocation bans in marked hot functions.
 
-The engine's fused loops (``_send_fast``, ``_run_blocks``) exist to remove
-per-event allocation: tuples replace :class:`~repro.sim.network.Message`
-objects, int64 columns replace ``(node, action)`` counter keys, prebound
+The engine's two marked functions — the fused send closure
+``Simulator._send_fast`` and the block drain ``Simulator._run_blocks``, the
+only drain loop — exist to remove per-event allocation: record tuples
+replace :class:`~repro.sim.network.Message` objects (adversarial copies
+included), int64 columns replace ``(node, action)`` counter keys, prebound
 closures replace attribute chains.  A well-meaning edit that reintroduces a
 dict/list/set display — or a ``Message(...)`` construction — inside one of
 those loops silently undoes the optimisation while every test stays green
@@ -20,9 +22,10 @@ rule flags
 
 Tuples stay legal: the event records *are* tuples, and CPython allocates
 them from a free list.  Legitimate allocations inside a marked function —
-one-time setup buffers, amortised bucket creation, cold fallback branches —
-carry a ``# repro: allow[no-hotpath-allocation]`` pragma naming their
-excuse.  The marker only ever applies to the innermost function containing
+one-time setup buffers, amortised bucket creation — carry a
+``# repro: allow[no-hotpath-allocation]`` pragma naming their excuse (the
+engine has three: the drain's block buffer and one wheel-bucket list in each
+function).  The marker only ever applies to the innermost function containing
 it, so marking a closure does not tax its builder's setup code.
 """
 

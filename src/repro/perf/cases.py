@@ -40,7 +40,10 @@ class BenchCase:
 
 
 # ----------------------------------------------------------------- core micro
-def _core_storm(nodes: int, rounds: int, scheduler: str) -> CaseResult:
+def core_storm(nodes: int, rounds: int, scheduler: str,
+               telemetry: bool = False) -> CaseResult:
+    """The ``core_*`` storm; ``telemetry=True`` attaches the delivery-latency
+    histogram (``scripts/telemetry_overhead_gate.py`` reports its cost)."""
     from repro.sim.engine import Simulator, SimulatorConfig
     from repro.sim.node import ProtocolNode
 
@@ -55,7 +58,8 @@ def _core_storm(nodes: int, rounds: int, scheduler: str) -> CaseResult:
         def on_Ping(self, sender, topic=None) -> None:
             pass
 
-    sim = Simulator(SimulatorConfig(seed=42, scheduler=scheduler))
+    sim = Simulator(SimulatorConfig(seed=42, scheduler=scheduler,
+                                    telemetry=telemetry))
     for i in range(nodes):
         sim.add_node(Chatter(i + 1))
     sim.run_rounds(rounds)
@@ -91,31 +95,31 @@ BENCH_CASES: List[BenchCase] = [
     BenchCase("core_2k_wheel",
               "engine core: 2000 nodes x 200 rounds, timeout wheel "
               "(the headline seed run)",
-              lambda: _core_storm(2_000, 200, "wheel")),
+              lambda: core_storm(2_000, 200, "wheel")),
     BenchCase("core_2k_heap",
               "engine core: 2000 nodes x 200 rounds, binary heap",
-              lambda: _core_storm(2_000, 200, "heap")),
+              lambda: core_storm(2_000, 200, "heap")),
     BenchCase("core_5k_wheel",
               "engine core: 5000 nodes x 80 rounds, timeout wheel",
-              lambda: _core_storm(5_000, 80, "wheel")),
+              lambda: core_storm(5_000, 80, "wheel")),
     BenchCase("core_5k_heap",
               "engine core: 5000 nodes x 80 rounds, binary heap",
-              lambda: _core_storm(5_000, 80, "heap")),
+              lambda: core_storm(5_000, 80, "heap")),
     BenchCase("core_20k_wheel",
               "engine core: 20000 nodes x 20 rounds, timeout wheel "
               "(production-scale storm; arena columns + density-adaptive "
               "buckets keep per-event cost near core_2k)",
-              lambda: _core_storm(20_000, 20, "wheel")),
+              lambda: core_storm(20_000, 20, "wheel")),
     BenchCase("core_50k_wheel",
               "engine core: 50000 nodes x 8 rounds, timeout wheel "
               "(large-storm scaling gate: per-event cost within ~2x of "
               "core_2k_wheel despite a working set past cache)",
-              lambda: _core_storm(50_000, 8, "wheel")),
+              lambda: core_storm(50_000, 8, "wheel")),
     BenchCase("core_100k_wheel",
               "engine core: 100000 nodes x 4 rounds, timeout wheel "
               "(the arena's headline scale; heap-vs-wheel event-log parity "
               "at this size is pinned by tests/test_arena.py)",
-              lambda: _core_storm(100_000, 4, "wheel")),
+              lambda: core_storm(100_000, 4, "wheel")),
     BenchCase("facade_single",
               "single supervisor: 8 topics x 8 subscribers stabilized "
               "+ 40 rounds",

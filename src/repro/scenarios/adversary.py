@@ -21,10 +21,13 @@ initial state.  :class:`LinkAdversary` makes those conditions injectable:
 
 Determinism: all coin flips come from one ``random.Random`` handed in by the
 caller (use :meth:`repro.sim.engine.Simulator.adversary_rng` to derive it
-from the master seed).  The network consults the adversary inside
-``Network.submit``/``pop``, which execute in event order — identical for the
+from the master seed).  The simulator consults the adversary on every send
+(:meth:`LinkAdversary.on_submit`) and on every delivery
+(:meth:`LinkAdversary.on_deliver`), both in event order — identical for the
 heap and wheel schedulers — so identical seeds give identical event orders
-with the adversary active.  Tests assert this parity.
+with the adversary active.  Tests assert this parity.  The engine also reads
+:attr:`LinkAdversary.spikes` to bound its block-drain window: a spike with a
+factor below 1 shortens delays, and so the window.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.sim.network import DROP_ADVERSARY_LOSS, DROP_PARTITION, Message
+from repro.sim.network import DROP_ADVERSARY_LOSS, DROP_PARTITION
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ class LinkAdversary:
 
     The object is installed via
     :meth:`repro.sim.engine.Simulator.install_adversary` and consulted by the
-    network on every send and delivery.  All conditions can be reconfigured
+    simulator on every send and delivery.  All conditions can be reconfigured
     mid-run (the scenario runner flips them per phase); :meth:`quiesce`
     discards delay spikes and, given the current time, healed partitions.
     """
@@ -188,10 +191,11 @@ class LinkAdversary:
             }
 
     # ------------------------------------------------------------------ hooks
-    def on_submit(self, msg: Message, now: float) -> LinkVerdict:
-        """Called by ``Network.submit`` for every non-crashed destination."""
+    def on_submit(self, sender: Optional[int], dest: int,
+                  now: float) -> LinkVerdict:
+        """Called by the simulator for every send to a live destination."""
         for partition in self.partitions.values():
-            if partition.severs(msg.sender, msg.dest, now):
+            if partition.severs(sender, dest, now):
                 return LinkVerdict(drop_reason=DROP_PARTITION)
         delay_factor = 1.0
         for spike in self.spikes:
@@ -206,15 +210,17 @@ class LinkAdversary:
             return PASS_VERDICT
         return LinkVerdict(duplicates=duplicates, delay_factor=delay_factor)
 
-    def on_deliver(self, msg: Message, now: float) -> Optional[str]:
-        """Called by ``Network.pop``; a non-``None`` return drops the message.
+    def on_deliver(self, sender: Optional[int], dest: int,
+                   now: float) -> Optional[str]:
+        """Called by the simulator for every message reaching a live
+        destination; a non-``None`` return drops the message.
 
         Only partitions act here: a message sent before a partition started
         must not cross the cut while it is active.  Loss/duplication already
         happened at send time.
         """
         for partition in self.partitions.values():
-            if partition.severs(msg.sender, msg.dest, now):
+            if partition.severs(sender, dest, now):
                 return DROP_PARTITION
         return None
 

@@ -14,11 +14,7 @@ simulator state lives in flat parallel buffers —
                      behind :attr:`ProtocolNode.timeout_count` (the object
                      attribute is a thin property view over this buffer),
 * ``crashed``      — one byte per node (vectorizable liveness column,
-                     mirrored from the object flags by the crash path),
-
-plus a topic-interning table and per-topic membership/suspect columns
-derived on demand (cold paths — membership changes are protocol-rare, so
-those columns are rebuilt generationally rather than maintained per event).
+                     mirrored from the object flags by the crash path).
 
 The arena only accelerates **dense** ids: non-negative ints within a growth
 cap (every id the facades allocate — supervisors from 0, subscribers from 1).
@@ -56,7 +52,7 @@ _DENSE_GROWTH = 4
 
 
 class NodeArena:
-    """Interned node/topic identifiers + flat hot-state columns.
+    """Interned node identifiers + flat hot-state columns.
 
     One arena per :class:`~repro.sim.engine.Simulator`; the simulator
     registers every node through :meth:`add` and mirrors crashes through
@@ -66,8 +62,7 @@ class NodeArena:
     """
 
     __slots__ = ("nodes", "timeout_count", "crashed", "extra", "_sim",
-                 "_topic_ids", "_topic_names", "_membership_generation",
-                 "_membership_cache", "count")
+                 "count")
 
     def __init__(self) -> None:
         #: dense node_id -> node (None-padded); the engine hot loops index it
@@ -81,12 +76,6 @@ class NodeArena:
         #: registered node count (dense + sparse)
         self.count = 0
         self._sim: Optional["Simulator"] = None
-        #: topic string -> dense topic index, in interning order
-        self._topic_ids: Dict[str, int] = {}
-        self._topic_names: List[str] = []
-        #: bumped on any membership mutation; invalidates the derived columns
-        self._membership_generation = 0
-        self._membership_cache: Dict[str, tuple] = {}
 
     def attach(self, sim: "Simulator") -> None:
         self._sim = sim
@@ -152,106 +141,6 @@ class NodeArena:
         return dense + sum(1 for node in self.extra.values()
                            if not node.crashed)
 
-    # ---------------------------------------------------------------- topics
-    def topic_id(self, topic: str) -> int:
-        """Dense index for ``topic``, interning it on first sight."""
-        ids = self._topic_ids
-        tid = ids.get(topic)
-        if tid is None:
-            tid = len(self._topic_names)
-            ids[topic] = tid
-            self._topic_names.append(topic)
-        return tid
-
-    def topic_name(self, tid: int) -> str:
-        return self._topic_names[tid]
-
-    @property
-    def topics(self) -> List[str]:
-        """Interned topics in interning order (a copy)."""
-        return list(self._topic_names)
-
-    def note_membership_change(self) -> None:
-        """Explicitly invalidate the derived per-topic membership columns
-        (needed only when code flips ``TopicView.subscribed`` directly,
-        outside event processing — the cache otherwise self-invalidates on
-        the simulator's step counter)."""
-        self._membership_generation += 1
-
-    def membership_column(self, topic: str) -> bytearray:
-        """Flat subscribed-flag column for ``topic``, index-aligned with
-        :attr:`nodes` (sparse-id members are not represented — callers that
-        must see them use the object API).
-
-        Derived from the live :class:`~repro.core.subscriber.TopicView`
-        flags and cached keyed on the simulator's event-step counter:
-        membership only mutates while events are being processed (subscribe
-        and crash-repair messages), so a column computed between drains stays
-        valid until the next event runs.  A generational rebuild at query
-        frequency is cheaper than per-event maintenance and can never drift.
-        """
-        sim = self._sim
-        generation = (self._membership_generation,
-                      sim._steps if sim is not None else -1)
-        cached = self._membership_cache.get(topic)
-        if cached is not None and cached[0] == generation:
-            return cached[1]
-        column = bytearray(len(self.nodes))
-        for node_id, node in enumerate(self.nodes):
-            views = getattr(node, "views", None)
-            if views is None:
-                continue
-            view = views.get(topic)
-            if view is not None and view.subscribed:
-                column[node_id] = 1
-        self._membership_cache[topic] = (generation, column)
-        return column
-
-    def members(self, topic: str) -> List[int]:
-        """Dense node ids currently subscribed to ``topic`` and live."""
-        crashed = self.crashed
-        return [node_id
-                for node_id, flag in enumerate(self.membership_column(topic))
-                if flag and not crashed[node_id]]
-
-    # --------------------------------------------------------- derived views
-    def suspect_column(self) -> bytearray:
-        """Failure-detector suspicion flags at the attached simulator's
-        current time, index-aligned with :attr:`nodes`."""
-        sim = self._sim
-        column = bytearray(len(self.nodes))
-        if sim is None:
-            return column
-        detector = sim.failure_detector
-        for node_id in detector.known_crashes:
-            if (type(node_id) is int and 0 <= node_id < len(column)
-                    and detector.suspects(node_id)):
-                column[node_id] = 1
-        return column
-
-    def timeout_deadlines(self) -> "array[float]":
-        """Next pending Timeout deadline per dense node id (``inf`` when none
-        is scheduled — crashed nodes, or ids past the dense window).
-
-        Derived from the scheduler's pending events rather than maintained by
-        the timeout branch: the engine reschedules ~half of all events, and a
-        per-event column write would tax the hot loop for a value nothing on
-        it reads.  One :meth:`~repro.sim.scheduler.EventScheduler.iter_events`
-        sweep on demand is exact and free at event time.
-        """
-        deadlines = array("d", [float("inf")]) * len(self.nodes)
-        sim = self._sim
-        if sim is None:
-            return deadlines
-        for event in sim.scheduler.iter_events():
-            if event[2] != 1:  # _TIMEOUT
-                continue
-            node_id = event[3]
-            if type(node_id) is int and 0 <= node_id < len(deadlines):
-                if event[0] < deadlines[node_id]:
-                    deadlines[node_id] = event[0]
-        return deadlines
-
     # ------------------------------------------------------------- lifecycle
     def rebuild(self) -> None:
         """Re-derive every column from the attached simulator's live nodes.
@@ -278,23 +167,5 @@ class NodeArena:
         del self.crashed[:]
         self.extra.clear()
         self.count = 0
-        self._membership_cache.clear()
-        self._membership_generation += 1
         for node in sim.nodes.values():
             self.add(node)
-
-    def working_set_bytes(self) -> Dict[str, int]:
-        """Approximate per-column byte sizes (the README working-set table).
-
-        Counts the flat buffers only — the point of the layout is that these
-        replace per-node dicts and per-message channel entries, so the sum
-        here *is* the simulator-side per-node working set.
-        """
-        import sys
-        return {
-            "nodes_list": sys.getsizeof(self.nodes),
-            "timeout_count": self.timeout_count.itemsize * len(self.timeout_count),
-            "crashed": len(self.crashed),
-            "membership_columns": sum(
-                len(cached[1]) for cached in self._membership_cache.values()),
-        }

@@ -12,24 +12,25 @@ The simulator realises the paper's asynchronous execution model:
 All randomness is derived from a single master seed
 (:class:`SimulatorConfig.seed`), so runs are reproducible.
 
-Hot-path layout (PR 4, extended in PR 6): the drivers funnel into
-:meth:`Simulator.run_until_time`.  On the paper's fault model (no link
-adversary) with a built-in scheduler it drains events in **blocks**: a safety
-window is computed such that nothing a handler can schedule may land inside
-it (``min(min_delay, timeout_period * (1 - jitter))`` ahead of the next
-event, clipped by the earliest pending crash/callback), the whole window is
-spliced out of the scheduler in one array operation
-(:meth:`~repro.sim.scheduler.EventScheduler.pop_block_into`), and a tight
-index loop delivers it with no per-event queue traffic.  Messages travel as
-plain tuples (*fast records*, :mod:`repro.sim.network`) that serve as
-scheduler event and channel entry at once — no per-message object
-allocation.  Message delays and timeout jitter come from
-:class:`~repro.sim.rng.BatchedUniform` / :class:`~repro.sim.rng.BatchedRandom`
-pre-generated in blocks — bit-identical to per-call ``Random.uniform``
-draws, so seeded runs (and their reports) are byte-identical to the
-unbatched engine's.  Adversarial runs and custom schedulers use the serial
-fused loop (per-event pops, every collaborator prebound in locals), which
-preserves the exact ``step()`` semantics event by event.
+Hot-path layout: the drivers funnel into :meth:`Simulator.run_until_time`,
+which drains events in **blocks**.  A safety window is computed such that
+nothing a handler can schedule may land inside it
+(``min(min_delay * spike_floor, timeout_period * (1 - jitter))`` ahead of the
+next event, where ``spike_floor`` is the smallest delay factor a link
+adversary's delay spikes can still apply; clipped by the earliest pending
+crash/callback), the whole window is spliced out of the scheduler in one
+array operation (:meth:`~repro.sim.scheduler.EventScheduler.pop_block_into`),
+and a tight index loop delivers it with no per-event queue traffic.  Every
+message in flight is one plain tuple (a *record*, :mod:`repro.sim.network`)
+that is at once the scheduler event and the channel entry — no per-message
+object allocation.  Link-adversary verdicts run at send time, partition
+checks and latency telemetry per record at delivery, so adversarial,
+telemetry-on and custom-scheduler runs all take the same loop.  Message
+delays and timeout jitter come from :class:`~repro.sim.rng.BatchedUniform` /
+:class:`~repro.sim.rng.BatchedRandom` pre-generated in blocks —
+bit-identical to per-call ``Random.uniform`` draws, so seeded runs (and
+their reports) are byte-identical to the unbatched engine's.
+:meth:`Simulator.step` stays the per-event reference form.
 """
 
 from __future__ import annotations
@@ -39,16 +40,17 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 import heapq
 
 from repro.sim.arena import NodeArena
 from repro.sim.failure import CrashSchedule, FailureDetector
 from repro.sim.network import (
-    FAST_RECORD_KIND,
-    Message,
+    DROP_TO_CRASHED,
+    RECORD_KIND,
     Network,
     record_to_message,
 )
@@ -96,12 +98,11 @@ class SimulatorConfig:
         identical for any width.
     telemetry:
         Enable run-wide latency telemetry (:mod:`repro.telemetry`): the
-        network records every message's send→delivery latency into a
-        deterministic histogram (``network.stats.delivery_latency``).  Off
-        by default; enabling it takes the engine off the batched block
-        drain onto the serial gear — the same cost model as running under
-        a link adversary — which is why the hot path stays byte- and
-        wall-identical when the knob is off.
+        block drain records every delivered message's send→delivery latency
+        (from the record's send time) into a deterministic histogram
+        (``network.stats.delivery_latency``).  Off by default; when off the
+        drain pays one ``None`` test per delivery, and results are
+        byte-identical either way.
     """
 
     seed: int = 0
@@ -116,8 +117,10 @@ class SimulatorConfig:
     telemetry: bool = False
 
     def __post_init__(self) -> None:
-        if self.min_delay < 0:
-            raise ValueError("min_delay must be non-negative")
+        if self.min_delay <= 0:
+            # The block drain's safety window is min_delay wide: a zero
+            # delay would let a send land inside the window being drained.
+            raise ValueError("min_delay must be positive")
         if self.max_delay < self.min_delay:
             raise ValueError("max_delay must be >= min_delay")
         if self.detection_lag < 0:
@@ -134,14 +137,13 @@ class SimulatorConfig:
 
 
 # Event kinds used in the scheduler
-_DELIVER = 0
 _TIMEOUT = 1
 _CRASH = 2
 _CALL = 3
-#: Fast-record delivery: the event tuple IS the in-flight message record
-#: (see the ``REC_*`` layout in :mod:`repro.sim.network`, which owns the
-#: canonical kind value — the network's introspection filters on it too).
-_DELIVER_FAST = FAST_RECORD_KIND
+#: Message delivery: the event tuple IS the in-flight message record (see
+#: the ``REC_*`` layout in :mod:`repro.sim.network`, which owns the canonical
+#: kind value — the network's introspection filters on it too).
+_DELIVER = RECORD_KIND
 
 _NEG_INF = float("-inf")
 
@@ -151,15 +153,15 @@ class Simulator:
 
     Slotted: ``self.now`` is read and written once per event and the block-
     interrupt flag is polled once per event, so the per-instance ``__dict__``
-    indirection is worth removing.  The two submit closures are per-instance
-    slots assigned by :meth:`_bind_fast_submit`.
+    indirection is worth removing.  The send closure is a per-instance slot
+    assigned by :meth:`_bind_send`.
     """
 
     __slots__ = ("config", "now", "network", "tracer", "failure_detector",
                  "nodes", "arena", "_seq", "_delay_rng", "_delay_draws",
                  "_jitter_rng", "_jitter_draws", "_adversary_rng", "_steps",
                  "_special_times", "_block_end", "_block_interrupted",
-                 "_scheduler", "submit_message", "_send_fast", "_profile")
+                 "_scheduler", "_send_fast", "_profile")
 
     def __init__(self, config: Optional[SimulatorConfig] = None) -> None:
         self.config = config or SimulatorConfig()
@@ -170,8 +172,8 @@ class Simulator:
         self.failure_detector.attach(self)
         self.nodes: Dict[NodeRef, ProtocolNode] = {}
         #: columnar hot-state store (dense node list, flat timeout counters,
-        #: liveness column, topic interning — see :mod:`repro.sim.arena`);
-        #: populated by :meth:`add_node`, consumed by the fused drain loops
+        #: liveness column — see :mod:`repro.sim.arena`); populated by
+        #: :meth:`add_node`, consumed by the block drain
         self.arena = NodeArena()
         self.arena.attach(self)
         self._seq = itertools.count()
@@ -203,8 +205,7 @@ class Simulator:
         self._block_end: float = _NEG_INF
         self._block_interrupted = False
         # Assigning the scheduler (a property) also binds the fused
-        # ``submit_message``/``_send_fast`` closures, which capture the
-        # scheduler's push.
+        # ``_send_fast`` closure, which captures the scheduler's push.
         scheduler = make_scheduler(
             self.config.scheduler, self.config.timeout_period,
             min_delay=self.config.min_delay, max_delay=self.config.max_delay,
@@ -222,7 +223,7 @@ class Simulator:
     @property
     def scheduler(self) -> EventScheduler:
         """The event queue.  Assigning a new scheduler rebinds the fused
-        submit path, so a replacement (e.g. a custom
+        send path, so a replacement (e.g. a custom
         :class:`~repro.sim.scheduler.EventScheduler` installed by a test or
         an experiment) is picked up consistently."""
         return self._scheduler
@@ -230,45 +231,30 @@ class Simulator:
     @scheduler.setter
     def scheduler(self, value: EventScheduler) -> None:
         self._scheduler = value
-        self._bind_fast_submit()
+        self._bind_send()
 
-    def _bind_fast_submit(self) -> None:
-        """(Re)build the prebound submit closures.
+    def _bind_send(self) -> None:
+        """(Re)build the prebound ``_send_fast`` closure.
 
         Network internals, scheduler, delay source and seq counter are fixed
         for the simulator's lifetime (scheduler swaps re-run this binding via
         the property setter), so the per-message path resolves them once here
-        instead of per call.  Two closures come out:
-
-        * ``submit_message(msg)`` — the ownership-transferring Message path
-          (external callers, injected messages);
-        * ``_send_fast(sender, dest, action, topic, params)`` — the
-          :meth:`ProtocolNode.send` path, which never builds a Message at
-          all: the in-flight record is one tuple living *only* in the
-          scheduler until delivery (PR 10: no channel entry, no message-id
-          draw — ``msg_id`` stays ``-1``; the crashed set answers "still
-          deliverable?" and the network's in-flight views read pending
-          records straight off the scheduler backlog).
-
-        Both fuse the no-adversary branch of :meth:`Network.submit` (kept in
-        sync with it — the semantics are pinned by the golden and parity
-        tests); messages facing an adversary or a crashed destination take
-        the full method.  On a custom (non-built-in) scheduler ``_send_fast``
-        degrades to the Message path wholesale: custom queues expose no
-        backlog iterator, so routing their traffic through the channels keeps
-        the in-flight views exact.  Live reads each call: ``self.now`` and
-        ``network.adversary``.
+        instead of per call.  ``_send_fast(sender, dest, action, topic,
+        params)`` is the :meth:`ProtocolNode.send` path: it never builds a
+        Message — each accepted copy is one record tuple living *only* in the
+        scheduler until delivery (the crashed set answers "still
+        deliverable?" and the network's in-flight views read pending records
+        straight off the scheduler backlog).  Live reads each call:
+        ``self.now`` and ``network.adversary``.
         """
         network = self.network
-        network_submit = network.submit
-        channels = network._channels
         crashed = network._crashed
         stats = network.stats
         sent = stats._sent
         sent_cols = stats._sent_cols  # dense columnar half; grown in place
         bump_column = stats._bump_column
+        record_drop = stats.record_drop
         derived = stats._derived  # invalidated in place, never rebound
-        msg_next = network._msg_counter.__next__
         delay_draws = self._delay_draws
         delay_buffer = delay_draws._buffer  # refilled in place, never rebound
         delay_refill = delay_draws._refill
@@ -291,51 +277,14 @@ class Simulator:
         elif is_heap:
             event_heap = scheduler._heap
         heappush = heapq.heappush
-        # The in-flight introspection needs to see the channel-free fast
-        # records _send_fast leaves in the scheduler; hand the network the
-        # backlog iterator (the base-class default yields nothing, matching
-        # the Message-path fallback custom schedulers get below).
+        # The in-flight introspection reads the records _send_fast leaves in
+        # the scheduler; hand the network the backlog iterator.
         network._pending_records = scheduler.iter_events
-
-        def _fast_submit(msg: Message) -> None:
-            dest = msg.dest
-            if network.adversary is not None or dest in crashed:
-                accepted = network_submit(msg, delay_draws, self.now)
-                for copy in accepted:
-                    scheduler_push((copy.deliver_time, seq_next(), _DELIVER, copy))
-                return
-            msg.msg_id = msg_id = msg_next()
-            msg.send_time = now = self.now
-            stats.total_sent += 1
-            key = (msg.sender, msg.action)
-            try:
-                sent[key] += 1
-            except KeyError:
-                sent[key] = 1
-            if derived:
-                derived.clear()
-            if not delay_buffer:
-                delay_refill()
-            msg.deliver_time = deliver_time = now + delay_buffer.pop()
-            try:
-                channels[dest][msg_id] = msg
-            except KeyError:
-                channels[dest] = {msg_id: msg}
-            scheduler_push((deliver_time, seq_next(), _DELIVER, msg))
-
-        #: ownership-transferring fast path (see :meth:`submit_message`)
-        self.submit_message = _fast_submit
 
         def _send_fast(sender: Optional[NodeRef], dest: NodeRef, action: str,
                        topic: Optional[str], params: Dict[str, Any]) -> None:
             # repro: hotpath — one frame per ProtocolNode.send; repro.check
             # flags per-event container/Message allocations added here
-            if network.adversary is not None or (crashed and dest in crashed):
-                # cold branch (adversary installed / dest already crashed)
-                # repro: allow[no-hotpath-allocation]
-                _fast_submit(Message(action=action, params=params,
-                                     sender=sender, dest=dest, topic=topic))
-                return
             now = self.now
             stats.total_sent += 1
             # Columnar sent counter for dense int senders: one action-keyed
@@ -357,6 +306,31 @@ class Simulator:
                     sent[key] = 1
             if derived:
                 derived.clear()
+            if crashed and dest in crashed:
+                record_drop(DROP_TO_CRASHED)  # no delay draw for a dead dest
+                return
+            adversary = network.adversary
+            if adversary is not None:
+                # Send-time verdict: loss, duplication, delay spikes and
+                # partitions.  Each accepted copy draws its own delay, in
+                # copy order, scaled by the verdict's factor — the block
+                # drain's window shrinks with the spikes that allow it.
+                verdict = adversary.on_submit(sender, dest, now)
+                reason = verdict.drop_reason
+                if reason is not None:
+                    record_drop(reason)
+                    return
+                duplicates = verdict.duplicates
+                if duplicates:
+                    stats.duplicated += duplicates
+                factor = verdict.delay_factor
+                for _copy in range(1 + duplicates):
+                    if not delay_buffer:
+                        delay_refill()
+                    scheduler_push((now + delay_buffer.pop() * factor,
+                                    seq_next(), _DELIVER, dest, action,
+                                    params, topic, sender, now, -1))
+                return
             if not delay_buffer:
                 delay_refill()
             deliver_time = now + delay_buffer.pop()
@@ -365,7 +339,7 @@ class Simulator:
             # params, topic, sender, send_time, msg_id).  msg_id is -1: the
             # record lives only in the scheduler, there is no channel entry
             # to key (and no counter draw to pay).
-            record = (deliver_time, seq_next(), _DELIVER_FAST, dest, action,
+            record = (deliver_time, seq_next(), _DELIVER, dest, action,
                       params, topic, sender, now, -1)
             if is_wheel:
                 # inlined TimeoutWheelScheduler.push
@@ -381,22 +355,13 @@ class Simulator:
                         # repro: allow[no-hotpath-allocation]
                         buckets[index] = [record]
                         heappush(bucket_heap, index)
-            else:
+            elif is_heap:
                 heappush(event_heap, record)
+            else:
+                scheduler_push(record)
 
-        def _send_via_message(sender: Optional[NodeRef], dest: NodeRef,
-                              action: str, topic: Optional[str],
-                              params: Dict[str, Any]) -> None:
-            # Custom-scheduler gear: no backlog iterator to surface records
-            # from, so every send keeps its channel entry by travelling as a
-            # full Message.  Observable semantics (stats, delay draws, event
-            # order) are identical to the record path.
-            _fast_submit(Message(action=action, params=params, sender=sender,
-                                 dest=dest, topic=topic))
-
-        #: record-building fast path used by :meth:`ProtocolNode.send`
-        self._send_fast = (_send_fast if is_wheel or is_heap
-                           else _send_via_message)
+        #: record-building send path used by :meth:`ProtocolNode.send`
+        self._send_fast = _send_fast
 
     # ------------------------------------------------------------------ nodes
     def add_node(self, node: ProtocolNode, schedule_timeout: bool = True) -> ProtocolNode:
@@ -422,63 +387,34 @@ class Simulator:
         return [n for n in self.nodes.values() if not n.crashed]
 
     # --------------------------------------------------------------- messages
-    def send_message(self, sender: Optional[NodeRef], dest: NodeRef, action: str,
-                     topic: Optional[str], params: Dict[str, Any]) -> None:
-        """Submit a message to the network and schedule its delivery."""
-        self.submit_message(Message(action=action, params=dict(params), sender=sender,
-                                    dest=dest, topic=topic))
-
-    # submit_message — assigned per instance in ``__init__`` — submits an
-    # already-built :class:`Message` and schedules its accepted copies (an
-    # ownership-transferring fast path: the message and its params dict must
-    # not be mutated by the caller after handing them over).  _send_fast —
-    # also assigned per instance — is the :meth:`ProtocolNode.send` sibling
-    # that skips Message construction entirely.
-
-    def submit_messages(self, msgs: Sequence[Message]) -> None:
-        """Bulk-submit pre-built messages stamped at the current instant.
-
-        Folds the per-message :meth:`Network.submit` → scheduler-push round
-        trip into one :meth:`Network.submit_batch` call — all delivery delays
-        drawn in one block, bitwise-identical to submitting the messages one
-        by one — plus a single push loop.  Ownership of the messages
-        transfers like :attr:`submit_message`.
-        """
-        accepted = self.network.submit_batch(msgs, self._delay_draws, self.now)
-        push = self._scheduler.push
-        seq = self._seq
-        for msg in accepted:
-            push((msg.deliver_time, next(seq), _DELIVER, msg))
-
     def inject_message(self, dest: NodeRef, action: str, params: Dict[str, Any],
                        topic: Optional[str] = None, delay: Optional[float] = None) -> None:
         """Place an adversarial message into ``dest``'s channel (initial-state
-        corruption).  It will be delivered like any other message."""
-        msg = Message(action=action, params=dict(params), sender=None, dest=dest,
-                      topic=topic, send_time=self.now)
+        corruption).  It will be delivered like any other message; it is not
+        accounted as protocol traffic and carries no sender."""
         if delay is not None and delay < 0:
             # The block drain relies on every schedulable time being >= now
             # (the simulated clock never moves backward).
             raise ValueError("inject_message delay must be non-negative")
-        self.network.inject_initial(msg)
         if delay is None:
             delay = self._delay_draws.next()
-        msg.deliver_time = self.now + delay
-        self._push(msg.deliver_time, _DELIVER, msg)
+        self._push(self.now + delay, _DELIVER, dest, action, dict(params),
+                   topic, None, self.now, -1)
 
     # ----------------------------------------------------------------- faults
     def install_adversary(self, adversary) -> None:
         """Install a link adversary on the network (see
         :meth:`repro.sim.network.Network.install_adversary`).
 
-        The adversary's coin flips happen inside ``Network.submit``/``pop``,
-        which run in event order — identical for both schedulers — so a seeded
-        adversary preserves the heap/wheel parity guarantee.
+        The adversary's coin flips happen at send time and its partition
+        checks at delivery time, both in event order — identical for both
+        schedulers — so a seeded adversary preserves the heap/wheel parity
+        guarantee.
         """
         self.network.install_adversary(adversary)
-        # An adversary may scale delays below min_delay, so the block drain's
-        # safety window no longer holds: abort any block in progress and let
-        # run_until_time fall back to the serial loop (see _run_blocks).
+        # Its delay spikes may scale delays below min_delay, which shrinks
+        # the block drain's safety window: abort any block in progress so
+        # the next window is computed against the new adversary.
         self._block_interrupted = True
 
     def adversary_rng(self) -> random.Random:
@@ -514,7 +450,7 @@ class Simulator:
         """Schedule an arbitrary callback (used by workloads/experiments)."""
         self._push(max(time, self.now), _CALL, fn)
 
-    def _push(self, time: float, kind: int, payload: Any) -> None:
+    def _push(self, time: float, kind: int, *payload: Any) -> None:
         """Generic event push with the block-drain bookkeeping.
 
         Crash/callback times go into the special-times heap that clips the
@@ -527,11 +463,14 @@ class Simulator:
             heapq.heappush(self._special_times, time)
         if time < self._block_end:
             self._block_interrupted = True
-        self.scheduler.push((time, next(self._seq), kind, payload))
+        self.scheduler.push((time, next(self._seq), kind, *payload))
 
     # -------------------------------------------------------------- execution
     def step(self) -> bool:
-        """Process a single event.  Returns False when no event is pending."""
+        """Process a single event.  Returns False when no event is pending.
+
+        The per-event reference form of the block drain (``max_steps``
+        drives use it): same event order, same delivery semantics."""
         if not self.scheduler:
             return False
         event = self.scheduler.pop()
@@ -541,14 +480,12 @@ class Simulator:
         self._steps += 1
         kind = event[2]
         if kind == _DELIVER:
-            self._handle_delivery(event[3])
-        elif kind == _TIMEOUT:
-            self._handle_timeout(event[3])
-        elif kind == _DELIVER_FAST:
             if self.network.pop_record(event):
                 node = self.nodes.get(event[3])
                 if node is not None and not node.crashed:
                     node.dispatch(record_to_message(event))
+        elif kind == _TIMEOUT:
+            self._handle_timeout(event[3])
         elif kind == _CRASH:
             self._apply_crash(event[3])
             special = self._special_times
@@ -560,15 +497,6 @@ class Simulator:
             if special and special[0] == time:
                 heapq.heappop(special)
         return True
-
-    def _handle_delivery(self, msg: Message) -> None:
-        pending = self.network.pop(msg)
-        if pending is None:
-            return
-        node = self.nodes.get(pending.dest)
-        if node is None or node.crashed:
-            return
-        node.dispatch(pending)
 
     def _handle_timeout(self, node_id: NodeRef) -> None:
         node = self.nodes.get(node_id)
@@ -609,7 +537,7 @@ class Simulator:
         if 0.5 < desired / scheduler.bucket_width < 2.0:
             return
         scheduler.retune(desired)
-        self._bind_fast_submit()
+        self._bind_send()
 
     # ----------------------------------------------------------------- drivers
     def run_for(self, duration: float, max_steps: Optional[int] = None) -> None:
@@ -619,22 +547,15 @@ class Simulator:
     def run_until_time(self, deadline: float, max_steps: Optional[int] = None) -> None:
         """Process events in order until the next one lies beyond ``deadline``.
 
-        This is the engine's hot loop, in two gears:
-
-        * **Block drain** (:meth:`_run_blocks`) — the paper's fault model (no
-          link adversary) on a built-in scheduler.  Whole safety windows of
-          events are spliced out of the queue at array level and delivered in
-          a tight index loop; see the method for the window argument.
-        * **Serial fused loop** (:meth:`_run_serial`) — adversarial runs and
-          custom schedulers.  Per-event pops fused with the concrete
-          scheduler, every collaborator prebound in a local.
-
-        Both gears process the exact per-event ``step()`` sequence: events
-        are consumed in ``(time, seq)`` order, and anything pushed by a
-        handler either carries ``time >= now`` outside the active window or
-        interrupts the block (see :meth:`_push`), so it sorts strictly after
-        the event being processed.  Reports are byte-identical across gears
-        and schedulers.
+        This is the engine's hot loop (:meth:`_run_blocks`): whole safety
+        windows of events are spliced out of the queue at array level and
+        delivered in a tight index loop — for every run, adversarial,
+        telemetry-on and custom-scheduler alike.  It processes the exact
+        per-event ``step()`` sequence: events are consumed in ``(time, seq)``
+        order, and anything pushed by a handler either carries ``time >=
+        now`` outside the active window or interrupts the block (see
+        :meth:`_push`), so it sorts strictly after the event being
+        processed.  Reports are byte-identical across drives and schedulers.
         """
         if max_steps is not None:
             self._run_until_time_bounded(deadline, max_steps)
@@ -658,17 +579,7 @@ class Simulator:
             wall_start = perf_counter()  # repro: allow[no-ambient-nondeterminism]
             steps_before = self._steps
         try:
-            scheduler_type = type(self._scheduler)
-            # Latency telemetry needs the per-message delivery path, so a
-            # histogram on the stats forces the serial gear exactly like an
-            # installed adversary does.
-            if (self.network.adversary is None
-                    and self.network.stats.delivery_latency is None
-                    and (scheduler_type is TimeoutWheelScheduler
-                         or scheduler_type is HeapScheduler)):
-                self._run_blocks(deadline)
-            else:
-                self._run_serial(deadline)
+            self._run_blocks(deadline)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -681,47 +592,60 @@ class Simulator:
             self.now = deadline
 
     def _run_blocks(self, deadline: float) -> None:
-        """Windowed block drain (the no-adversary hot path).
+        """Windowed block drain (the engine's only drain loop).
 
-        Safety argument: with no adversary, every handler-scheduled event
-        lies at least ``horizon = min(min_delay, timeout_period * (1 -
-        timeout_jitter))`` in the future (message delays are >= min_delay,
-        timeout reschedules >= period * (1 - jitter); both strictly positive
-        by config validation) — **except** crashes, callbacks, zero-delay
-        injections and freshly added nodes' staggered timeouts.  The first
-        two are pre-registered in the special-times heap, which clips the
-        window; the rest route through :meth:`_push`, which interrupts the
-        block so the drain requeues its unprocessed tail.  Hence every event
-        in ``[t0, limit)`` is already in the scheduler when the window opens,
+        Safety argument: every handler-scheduled event lies at least
+        ``horizon = min(min_delay * spike_floor, timeout_period * (1 -
+        timeout_jitter))`` in the future.  Message delays are >= min_delay
+        times the send's delay factor, and ``spike_floor`` — the product of
+        every factor below 1 among the adversary's delay spikes that have not
+        ended — bounds that factor from below; timeout reschedules are >=
+        period * (1 - jitter); all strictly positive by config validation.
+        The exceptions are crashes, callbacks, zero-delay injections and
+        freshly added nodes' staggered timeouts.  The first two are
+        pre-registered in the special-times heap, which clips the window;
+        the rest route through :meth:`_push`, which interrupts the block so
+        the drain requeues its unprocessed tail.  Hence every event in
+        ``[t0, limit)`` is already in the scheduler when the window opens,
         and the block can be consumed with no per-event queue traffic.
+        Spikes and partitions only change between drains or in callbacks
+        (which bound windows), and :meth:`install_adversary` interrupts the
+        block, so the window and the adversary are re-read per block.
         """
         # repro: hotpath — the fused delivery/timeout drain; repro.check
         # flags per-event container/Message allocations added to this loop
         scheduler = self._scheduler
-        pop_block_into = scheduler.pop_block_into
         next_time = scheduler.next_time
         push = scheduler.push
         heappop = heapq.heappop
         heappush = heapq.heappush
         # Timeout reschedules are by far the most frequent push this loop
         # performs; inline the concrete scheduler's push for them (the same
-        # specialisation _bind_fast_submit applies to sends).
-        is_wheel = type(scheduler) is TimeoutWheelScheduler
+        # specialisation _bind_send applies to sends).  Custom schedulers
+        # drain through the portable base-class block pop (built on their
+        # own pop_batch_into) and the generic push.
+        scheduler_type = type(scheduler)
+        is_wheel = scheduler_type is TimeoutWheelScheduler
+        is_heap = scheduler_type is HeapScheduler
         if is_wheel:
             inv_width = scheduler._inv_width
             buckets = scheduler._buckets
             bucket_heap = scheduler._bucket_heap
             insert_late = scheduler._insert_late
+        elif is_heap:
+            event_heap = scheduler._heap
+        if is_wheel or is_heap:
+            pop_block_into = scheduler.pop_block_into
         else:
-            event_heap = scheduler._heap  # only wheel/heap reach this loop
+            pop_block_into = partial(EventScheduler.pop_block_into, scheduler)
         seq_next = self._seq.__next__
         network = self.network
-        channels = network._channels
         crashed_set = network._crashed
         stats = network.stats
         received = stats._received
         received_cols = stats._received_cols  # dense half; grown in place
         bump_column = stats._bump_column
+        record_drop = stats.record_drop
         derived = stats._derived
         nodes = self.nodes
         nodes_get = nodes.get
@@ -737,6 +661,7 @@ class Simulator:
         config = self.config
         period = config.timeout_period
         jitter = config.timeout_jitter
+        min_delay = config.min_delay
         # ``uniform(-jitter, jitter)`` unrolled with its bounds precomputed:
         # ``a + (b - a) * random()`` with a = -jitter, b - a = 2 * jitter —
         # bit-identical to Random.uniform, minus the per-event method frame.
@@ -747,7 +672,7 @@ class Simulator:
         jitter_buffer = self._jitter_draws._buffer  # refilled in place
         jitter_refill = self._jitter_draws._refill
         special = self._special_times
-        horizon = min(config.min_delay, period * (1.0 - jitter))
+        timeout_horizon = period * (1.0 - jitter)
         # Strict `< limit` window membership with an inclusive deadline:
         # events at exactly `deadline` belong to the run.
         beyond_deadline = math.nextafter(deadline, math.inf)
@@ -765,18 +690,26 @@ class Simulator:
         cached_action: Any = None
         cached_handler: Any = None
         while True:
-            if network.adversary is not None:
-                # A handler installed an adversary mid-run: delays may now
-                # shrink below min_delay, so the window argument no longer
-                # holds.  Finish the run on the serial loop.
-                self._run_serial(deadline)
-                return
             t0 = next_time()
             if t0 is None or t0 > deadline:
                 return
             while special and special[0] < t0:
                 heappop(special)  # stale: consumed outside this loop
-            limit = t0 + horizon
+            adversary = network.adversary
+            latency = stats.delivery_latency  # None unless telemetry is on
+            record_latency = None if latency is None else latency.record
+            delay_horizon = min_delay
+            if adversary is not None:
+                # Lower bound of any delay factor a send in this window can
+                # draw: every spike still running or yet to start may apply,
+                # and overlapping spikes multiply.  Multiplying in the
+                # adversary's own order keeps the bound below its product.
+                spike_floor = 1.0
+                for spike in adversary.spikes:
+                    if spike.end > t0 and spike.factor < 1.0:
+                        spike_floor *= spike.factor
+                delay_horizon = min_delay * spike_floor
+            limit = t0 + min(delay_horizon, timeout_horizon)
             if special and special[0] < limit:
                 limit = special[0]
             if beyond_deadline < limit:
@@ -807,16 +740,24 @@ class Simulator:
                     time = event[0]
                     self.now = time
                     kind = event[2]
-                    if kind == _DELIVER_FAST:
+                    if kind == _DELIVER:
                         # Fused record delivery (in sync with
                         # Network.pop_record): records have no channel entry,
                         # so "still deliverable?" is one membership test on
-                        # the crashed set (usually empty) and the O(1) stats
+                        # the crashed set (usually empty) plus the
+                        # adversary's partition check, and the O(1) stats
                         # counters update inline.
                         dest = event[3]
                         if crashed_set and dest in crashed_set:
                             continue  # destination crashed after the send
+                        if adversary is not None:
+                            reason = adversary.on_deliver(event[7], dest, time)
+                            if reason is not None:
+                                record_drop(reason)
+                                continue
                         delivered += 1
+                        if record_latency is not None:
+                            record_latency(time - event[8])
                         action = event[4]
                         # Dense arena lookup; sparse/forged destinations fall
                         # back to the id->node dict.  (A negative id must not
@@ -907,29 +848,10 @@ class Simulator:
                                     # repro: allow[no-hotpath-allocation]
                                     buckets[index] = [timeout_event]
                                     heappush(bucket_heap, index)
-                        else:
+                        elif is_heap:
                             heappush(event_heap, timeout_event)
-                    elif kind == _DELIVER:
-                        # Message-form delivery (injected corruption or
-                        # leftovers from an adversarial phase).
-                        msg = event[3]
-                        dest = msg.dest
-                        try:
-                            del channels[dest][msg.msg_id]
-                        except KeyError:
-                            continue
-                        delivered += 1
-                        stats_key = (dest, msg.action)
-                        try:
-                            received[stats_key] += 1
-                        except KeyError:
-                            received[stats_key] = 1
-                        if derived:
-                            derived.clear()
-                        node = nodes_get(dest)
-                        if node is None or node.crashed:
-                            continue
-                        node.dispatch(msg)
+                        else:
+                            push(timeout_event)
                     elif kind == _CRASH:
                         # Defensive: specials are normally excluded by the
                         # window bound; only a push that bypassed ``_push``
@@ -944,9 +866,10 @@ class Simulator:
                     if self._block_interrupted:
                         # A handler scheduled work inside this very window (a
                         # sub-window callback, a node added with a tiny
-                        # stagger, a zero-delay injection).  Hand the
-                        # unprocessed tail back to the scheduler and reopen
-                        # the window so the new event is ordered correctly.
+                        # stagger, a zero-delay injection, a new adversary).
+                        # Hand the unprocessed tail back to the scheduler and
+                        # reopen the window so the new event is ordered
+                        # correctly.
                         consumed = block.index(event) + 1
                         break
             except BaseException:
@@ -969,183 +892,6 @@ class Simulator:
                     # blocks observe fresh totals.
                     stats.total_delivered += delivered
                     delivered = 0
-
-    def _run_serial(self, deadline: float) -> None:
-        """Serial fused loop: per-event pops fused with the concrete
-        scheduler (wheel bucket tail / C-level ``heappop``; custom schedulers
-        are drained in same-timestamp batches through
-        :meth:`~repro.sim.scheduler.EventScheduler.pop_batch_into`), the
-        deliver → handler → stats chain inlined without intermediate
-        wrappers.  Used for adversarial runs and custom schedulers; event
-        semantics identical to :meth:`_run_blocks` and :meth:`step`.
-        """
-        scheduler = self._scheduler
-        scheduler_type = type(scheduler)
-        is_wheel = scheduler_type is TimeoutWheelScheduler
-        is_heap = scheduler_type is HeapScheduler
-        if is_wheel:
-            advance = scheduler._advance
-            heap: List[Any] = []
-        elif is_heap:
-            heap = scheduler._heap
-        heappop = heapq.heappop
-        pop_batch_into = scheduler.pop_batch_into
-        pending: List[Any] = []
-        push = scheduler.push
-        seq = self._seq
-        nodes = self.nodes
-        nodes_get = nodes.get
-        # Same columnar captures as _run_blocks (in-place-growth contract).
-        arena = self.arena
-        node_list = arena.nodes
-        timeout_counts = arena.timeout_count
-        network = self.network
-        network_pop = network.pop
-        pop_record = network.pop_record
-        channels = network._channels
-        stats = network.stats
-        received = stats._received
-        derived = stats._derived
-        latency_hist = stats.delivery_latency  # None unless telemetry is on
-        base_dispatch = ProtocolNode.dispatch
-        special = self._special_times
-        period = self.config.timeout_period
-        jitter = self.config.timeout_jitter
-        # Same unrolled-uniform caveat as in _run_blocks: keep the exact
-        # ``1 + (a + span * r)`` parenthesisation.
-        neg_jitter = -jitter
-        jitter_span = jitter - neg_jitter
-        jitter_buffer = self._jitter_draws._buffer
-        jitter_refill = self._jitter_draws._refill
-        steps = 0
-        while True:
-            # ---- pop the next due event, fused with the scheduler kind ----
-            if is_wheel:
-                # the wheel's next event is the tail of the current
-                # (descending-sorted) bucket: a pop is one ``del``
-                current = scheduler._current
-                if not current:
-                    advance()
-                    current = scheduler._current
-                    if not current:
-                        break
-                event = current[-1]
-                time = event[0]
-                if time > deadline:
-                    break
-                del current[-1]
-                scheduler._count -= 1
-            elif is_heap:
-                if not heap or heap[0][0] > deadline:
-                    break
-                event = heappop(heap)
-                time = event[0]
-            else:  # custom scheduler: the portable batch interface
-                if not pending:
-                    if not pop_batch_into(pending, deadline):
-                        break
-                    pending.reverse()  # serve the batch in order off the tail
-                event = pending.pop()
-                time = event[0]
-            steps += 1
-            if time > self.now:
-                self.now = time
-            # ---- handle it (one shared body for every scheduler kind) ----
-            kind = event[2]
-            if kind == _DELIVER:
-                msg = event[3]
-                if network.adversary is not None:
-                    # Adversarial runs take the full channel pop (delivery-
-                    # time partition checks, per-reason drop accounting).
-                    # NB: must not be named `pending` — that local is the
-                    # generic-scheduler batch buffer above.
-                    delivered = network_pop(msg)
-                    if delivered is None:
-                        continue
-                    node = nodes_get(delivered.dest)
-                    if node is None or node.crashed:
-                        continue
-                    node.dispatch(delivered)
-                    continue
-                # Fused no-adversary delivery (in sync with Network.pop):
-                # the scheduled payload IS the stored channel entry, so the
-                # channel pop is pure bookkeeping, and the O(1) stats
-                # counters update inline.  Channel/node lookups use plain
-                # subscripts with KeyError fallbacks: misses only happen when
-                # the destination crashed after the send (or a corrupted
-                # initial state referenced a phantom node).
-                dest = msg.dest
-                try:
-                    del channels[dest][msg.msg_id]
-                except KeyError:
-                    continue  # destination crashed after the send
-                stats.total_delivered += 1
-                if latency_hist is not None:
-                    latency_hist.record(msg.deliver_time - msg.send_time)
-                stats_key = (dest, msg.action)
-                try:
-                    received[stats_key] += 1
-                except KeyError:
-                    received[stats_key] = 1
-                if derived:
-                    derived.clear()
-                try:
-                    node = nodes[dest]
-                except KeyError:
-                    continue
-                if node.crashed:
-                    continue
-                node_type = node.__class__
-                if node_type.dispatch is not base_dispatch:
-                    node.dispatch(msg)  # subclass overrides dispatch wholesale
-                    continue
-                handler = node_type._action_handlers.get(msg.action)
-                if handler is None:
-                    node.dispatch(msg)  # unknown action / late-bound handler
-                    continue
-                params = msg.params
-                topic = msg.topic
-                if topic is not None and "topic" not in params:
-                    params["topic"] = topic
-                handler(node, **params)
-            elif kind == _TIMEOUT:
-                node_id = event[3]
-                try:
-                    node = node_list[node_id] if node_id >= 0 else None
-                except (IndexError, TypeError):
-                    node = None
-                if node is None:
-                    node = nodes_get(node_id)
-                    if node is None or node.crashed:
-                        continue
-                    node.timeout_count += 1  # sparse-id property path
-                else:
-                    if node.crashed:
-                        continue
-                    timeout_counts[node_id] += 1
-                node.on_timeout()
-                if not jitter_buffer:
-                    jitter_refill()
-                next_in = period * (
-                    1 + (neg_jitter + jitter_span * jitter_buffer.pop()))
-                push((self.now + next_in, next(seq), _TIMEOUT, node_id))
-            elif kind == _DELIVER_FAST:
-                # Record delivery through the full channel pop: this loop
-                # runs under adversaries (delivery-time checks apply) and for
-                # custom schedulers, where throughput is not the priority.
-                if pop_record(event):
-                    node = nodes_get(event[3])
-                    if node is not None and not node.crashed:
-                        node.dispatch(record_to_message(event))
-            elif kind == _CRASH:
-                self._apply_crash(event[3])
-                if special and special[0] == time:
-                    heappop(special)
-            elif kind == _CALL:
-                event[3]()
-                if special and special[0] == time:
-                    heappop(special)
-        self._steps += steps
 
     def _run_until_time_bounded(self, deadline: float, max_steps: int) -> None:
         """Step-capped variant of :meth:`run_until_time` (rarely used; kept
@@ -1200,8 +946,8 @@ class Simulator:
     def enable_profiling(self) -> None:
         """Opt-in wall-clock drain accounting for :meth:`run_until_time`.
 
-        Each drain (one ``run_until_time`` call — a block-drain or serial
-        sweep) adds its real wall time and event count to a running tally.
+        Each drain (one ``run_until_time`` call) adds its real wall time and
+        event count to a running tally.
         The tally is wall-clock data: it never enters a deterministic
         report, only profiling artifacts (``scripts/profile_hotpath.py``).
         Idempotent; costs two ``perf_counter`` calls per drain when on and

@@ -2,11 +2,14 @@
 
 The paper models the network as one unbounded channel ``v.Ch`` per node: a
 multiset of in-flight messages that are never lost or duplicated but may be
-delivered in any order and after any finite delay.  :class:`Network` owns all
-channels, assigns delivery delays, keeps per-action and per-node accounting
-(used by the supervisor-load and congestion experiments), and drops messages
-addressed to crashed nodes (the paper's Section 3.3 failure model: a crashed
-node's address ceases to exist, so messages to it "do not invoke any action").
+delivered in any order and after any finite delay.  In this simulator a
+message in flight is one *record* tuple held by the event scheduler (see the
+``REC_*`` layout below), so the channels are a view: :class:`Network` reads
+them off the scheduler backlog, keeps per-action and per-node accounting
+(used by the supervisor-load and congestion experiments), and tracks crashed
+nodes, whose messages are dropped (the paper's Section 3.3 failure model: a
+crashed node's address ceases to exist, so messages to it "do not invoke any
+action").
 
 Beyond the paper's model the network accepts an optional **link adversary**
 (:meth:`Network.install_adversary`): a seeded policy object that may drop,
@@ -17,22 +20,20 @@ self-stabilization under conditions the paper's channel never exhibits.
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass(slots=True)
 class Message:
     """A single protocol message of the form ``<label>(<parameters>)``.
 
-    The class is slotted: a 2k-node maintenance round creates hundreds of
-    thousands of messages, and dropping the per-instance ``__dict__`` both
-    shrinks them and speeds up the attribute traffic on the submit/deliver
-    hot path.  Messages are plain data records — nothing may hang ad-hoc
-    attributes off them.
+    A read-only view of an in-flight record (:func:`record_to_message`),
+    built for the full dispatch path and the in-flight introspection — the
+    engine itself moves records, never Messages.  The class is slotted;
+    nothing may hang ad-hoc attributes off it.
 
     Attributes
     ----------
@@ -55,7 +56,7 @@ class Message:
         Simulation timestamps.
     corrupted:
         True for messages injected by the adversary rather than produced by
-        the protocol; used only for accounting and assertions.
+        the protocol (they carry no sender); used only for assertions.
     """
 
     action: str
@@ -83,25 +84,25 @@ DROP_PARTITION = "partition"        #: link severed by an active partition
 DROP_REASONS = (DROP_TO_CRASHED, DROP_ADVERSARY_LOSS, DROP_PARTITION)
 
 
-# --------------------------------------------------------------- fast records
-# The no-adversary send fast path stores in-flight messages as plain tuples
-# instead of Message instances: building one tuple costs ~1/5th of a slotted
-# dataclass plus its field writes, and the per-message hot path touches every
-# field at most once.  A record is simultaneously the *scheduler event* and
-# the *channel entry* — one allocation serves both roles:
+# -------------------------------------------------------------------- records
+# Every in-flight message is a plain tuple instead of a Message instance:
+# building one tuple costs ~1/5th of a slotted dataclass plus its field
+# writes, and the per-message hot path touches every field at most once.  A
+# record is simultaneously the *scheduler event* and the *channel entry* —
+# one allocation serves both roles:
 #
 #     (deliver_time, seq, kind, dest, action, params, topic, sender,
 #      send_time, msg_id)
 #
 # The first three positions match the scheduler's ``(time, seq, kind, ...)``
 # event layout (``seq`` is unique, so tuple comparison never reads past it and
-# mixed 4-/10-tuples order correctly); the tail is the struct-of-arrays row
-# the engine's block drain consumes in place.  Channels may therefore hold a
-# mix of records (fast-path sends) and Message objects (adversarial submits,
-# injected initial-state corruption); every introspection surface
+# 10-tuple records mix with the 4-tuple timeout/crash/callback events); the
+# tail is the row the engine's block drain consumes in place.  Protocol
+# sends, adversarial duplicates and injected initial-state corruption
+# (``sender`` None) all take this form; every introspection surface
 # materialises records back into equivalent Message instances on demand, so
 # external consumers never see the tuple form.  Index constants are shared
-# with the engine's fused loops.
+# with the engine.
 REC_DELIVER_TIME = 0
 REC_SEQ = 1
 REC_KIND = 2
@@ -113,20 +114,17 @@ REC_SENDER = 7
 REC_SEND_TIME = 8
 REC_MSG_ID = 9
 
-#: The scheduler event kind marking a fast-delivery record (canonical here;
-#: the engine's ``_DELIVER_FAST`` aliases it).  Only 10-tuple records carry
-#: it, so ``event[REC_KIND] == FAST_RECORD_KIND`` identifies records inside
-#: a mixed scheduler backlog without a length check.
-FAST_RECORD_KIND = 4
+#: The scheduler event kind marking a delivery record (canonical here; the
+#: engine's ``_DELIVER`` aliases it).  Only 10-tuple records carry it, so
+#: ``event[REC_KIND] == RECORD_KIND`` identifies records inside the
+#: scheduler backlog without a length check.
+RECORD_KIND = 4
 
-# PR 10 (columnar arena) removed the per-destination channel entry for fast
-# records entirely: a record now lives *only* in the scheduler until its
-# delivery event fires, marked by ``msg_id == -1`` (no counter draw on the
-# send path).  "Is it still deliverable?" becomes a crashed-set test instead
-# of a channel pop — equivalent, because a record's channel entry could only
-# ever disappear through :meth:`Network.mark_crashed`.  The in-flight
-# introspection surfaces read pending records straight out of the scheduler
-# through :attr:`Network._pending_records`.
+# A record lives *only* in the scheduler until its delivery event fires; its
+# ``msg_id`` is always -1 (no counter draw on the send path).  "Is it still
+# deliverable?" is a crashed-set test, and the in-flight introspection
+# surfaces read pending records straight out of the scheduler through
+# :attr:`Network._pending_records`.
 
 #: dense-id ceiling for the columnar :class:`ChannelStats` store — node ids
 #: at or past this always count through the sparse dict half (bounds any one
@@ -136,29 +134,26 @@ _STATS_COLUMN_CAP = 1 << 20
 
 
 def record_to_message(record: tuple) -> "Message":
-    """Materialise a fast-path in-flight record into an equivalent
-    :class:`Message` (field-identical to what the pre-record engine stored).
+    """Materialise an in-flight record into an equivalent :class:`Message`.
 
-    The params dict is shared, not copied — records own their params exactly
-    as Messages do, so in-place topic folding keeps working."""
+    The params dict is shared, not copied — records own their params, so
+    in-place topic folding keeps working.  Only injected corruption has no
+    sender, so ``corrupted`` is derived from it."""
+    sender = record[REC_SENDER]
     return Message(action=record[REC_ACTION], params=record[REC_PARAMS],
-                   sender=record[REC_SENDER], dest=record[REC_DEST],
+                   sender=sender, dest=record[REC_DEST],
                    topic=record[REC_TOPIC], send_time=record[REC_SEND_TIME],
                    deliver_time=record[REC_DELIVER_TIME],
-                   msg_id=record[REC_MSG_ID])
-
-
-def _materialise(entry) -> "Message":
-    """Channel entry (record tuple or Message) -> Message."""
-    return record_to_message(entry) if type(entry) is tuple else entry
+                   msg_id=record[REC_MSG_ID], corrupted=sender is None)
 
 
 class ChannelStats:
     """Aggregated message statistics, queryable per node and per action.
 
-    The recording hot path (one :meth:`record_send` per submitted message,
-    one :meth:`record_delivery` per delivered message) performs a single dict
-    update on one ``(node, action)`` table plus an integer increment.  The
+    The engine counts every send and delivery inline with one O(1) update
+    (an int64 column row for dense node ids, else one ``(node, action)``
+    dict entry) plus an integer increment; :meth:`record_send` /
+    :meth:`record_delivery` are the same update in method form.  The
     per-node, per-action and per-(node, action) :class:`Counter` views the
     experiments consume are derived lazily on first access and cached until
     the next write, so querying stays as convenient as the eager counters the
@@ -182,8 +177,9 @@ class ChannelStats:
 
     def __init__(self) -> None:
         #: raw (sender-or-None, action) -> count and (dest, action) -> count
-        #: — the *sparse* half of the store: non-int / negative node keys and
-        #: every count recorded through the Message paths
+        #: — the *sparse* half of the store: non-int / negative / huge node
+        #: keys and every count recorded through :meth:`record_send` /
+        #: :meth:`record_delivery`
         self._sent: Dict[tuple, int] = {}
         self._received: Dict[tuple, int] = {}
         #: columnar half (PR 10): ``action -> array('q')`` indexed by dense
@@ -205,10 +201,10 @@ class ChannelStats:
         self.total_delivered = 0
         #: optional :class:`~repro.telemetry.histogram.LatencyHistogram` of
         #: send→delivery latency in sim seconds.  ``None`` (the default)
-        #: keeps the hot paths latency-blind; :meth:`enable_latency` turns it
-        #: on (``SimulatorConfig.telemetry`` does so at build time), and a
-        #: non-``None`` value also forces the engine off the batched block
-        #: drain — per-message observation needs the serial gear.
+        #: keeps the drain latency-blind at one ``None`` test per delivery;
+        #: :meth:`enable_latency` turns it on (``SimulatorConfig.telemetry``
+        #: does so at build time) and the block drain then feeds it from each
+        #: delivered record's send time.
         self.delivery_latency = None
         #: lazily derived Counter views, invalidated with ``.clear()`` — never
         #: rebound, so the engine's fused closures may capture the dict once.
@@ -477,31 +473,22 @@ def _dict_delta(current: Dict, baseline: Dict) -> Dict:
 
 
 class Network:
-    """Owns every node channel and enforces the asynchronous delivery model.
+    """Crash set, accounting and in-flight views of the asynchronous network.
 
-    The network does not deliver messages by itself: the
-    :class:`~repro.sim.engine.Simulator` schedules a delivery event for each
-    accepted message and later calls :meth:`pop` to remove it from the channel
-    when the destination processes it.
+    The network does not hold or deliver messages by itself: the
+    :class:`~repro.sim.engine.Simulator` builds one record per accepted
+    message copy and keeps it in its scheduler until delivery, consulting
+    the network's crashed set and link adversary on the way.
     """
 
-    __slots__ = ("min_delay", "max_delay", "_channels", "_msg_counter",
-                 "stats", "_crashed", "adversary", "_pending_records")
+    __slots__ = ("min_delay", "max_delay", "stats", "_crashed", "adversary",
+                 "_pending_records")
 
     def __init__(self, min_delay: float = 0.1, max_delay: float = 1.0) -> None:
         if min_delay <= 0 or max_delay < min_delay:
             raise ValueError("delays must satisfy 0 < min_delay <= max_delay")
         self.min_delay = min_delay
         self.max_delay = max_delay
-        #: dest -> {msg_id -> entry}.  An entry is either a :class:`Message`
-        #: (adversarial submits, injected corruption) or a fast-path record
-        #: tuple (see the module-level ``REC_*`` constants).  A plain dict
-        #: (not a defaultdict): the engine's fused delivery path subscripts
-        #: it, and an auto-creating container would silently resurrect empty
-        #: channels for crashed destinations that :meth:`mark_crashed`
-        #: discarded.
-        self._channels: Dict[int, Dict[int, Any]] = {}
-        self._msg_counter = itertools.count()
         self.stats = ChannelStats()
         self._crashed: set[int] = set()
         #: optional link-level adversary (duck-typed; see
@@ -510,205 +497,58 @@ class Network:
         self.adversary = None
         #: zero-arg callable yielding the scheduler's pending events (the
         #: simulator binds ``scheduler.iter_events`` here), used by the
-        #: in-flight introspection to see channel-free fast records.  ``None``
-        #: for a standalone network — then channels are the whole truth.
+        #: in-flight introspection.  ``None`` for a standalone network, which
+        #: then has nothing in flight.
         self._pending_records = None
 
     # ------------------------------------------------------------------ admin
     def install_adversary(self, adversary) -> None:
         """Install (or with ``None``, remove) a link adversary.
 
-        The adversary is consulted on every :meth:`submit` (loss, duplication,
-        delay spikes, send-time partition checks) and every :meth:`pop`
-        (delivery-time partition checks for messages already in flight when a
-        partition started).  It must expose ``on_submit(msg, now)`` returning
-        a :class:`~repro.scenarios.adversary.LinkVerdict` and
-        ``on_deliver(msg, now)`` returning a drop-reason string or ``None``.
+        The simulator consults it on every send (loss, duplication, delay
+        spikes, send-time partition checks) and every delivery (partition
+        checks for messages already in flight when a partition started).  It
+        must expose ``on_submit(sender, dest, now)`` returning a
+        :class:`~repro.scenarios.adversary.LinkVerdict`,
+        ``on_deliver(sender, dest, now)`` returning a drop-reason string or
+        ``None``, and ``spikes`` — the delay spikes (``end``/``factor``)
+        whose factors below 1 bound the engine's block window.
         """
         self.adversary = adversary
 
     def mark_crashed(self, node_id: int) -> None:
-        """Record ``node_id`` as crashed; its channel is discarded and future
-        messages to it are dropped silently."""
+        """Record ``node_id`` as crashed; messages to it are dropped
+        silently (records already in flight are skipped at delivery)."""
         self._crashed.add(node_id)
-        self._channels.pop(node_id, None)
 
     def is_crashed(self, node_id: int) -> bool:
         return node_id in self._crashed
 
-    # ------------------------------------------------------------------ sends
-    def submit(self, msg: Message, rng, now: float) -> Sequence[Message]:
-        """Accept ``msg`` into the destination channel.
-
-        Returns the sequence of accepted copies (with delays and ids
-        assigned), each of which needs a delivery event scheduled.  It is
-        empty if the destination is crashed or the installed adversary
-        dropped the message; it has more than one element when the adversary
-        duplicated it.  Without an adversary the result is always zero or one
-        message — the paper's channel model — served by an allocation-light
-        fast path (this is the per-message hot loop, so the O(1)
-        :class:`ChannelStats` counter updates are fused inline rather than
-        paying a method call and a re-read of ``msg`` fields per message).
-        """
-        msg.msg_id = next(self._msg_counter)
-        msg.send_time = now
-        dest = msg.dest
-        stats = self.stats
-        stats.total_sent += 1
-        key = (msg.sender, msg.action)
-        sent = stats._sent
-        sent[key] = sent.get(key, 0) + 1
-        if stats._derived:
-            stats._derived.clear()
-        if dest in self._crashed:
-            drops = stats._drops
-            drops[DROP_TO_CRASHED] = drops.get(DROP_TO_CRASHED, 0) + 1
-            return ()
-        if self.adversary is None:
-            msg.deliver_time = now + rng.uniform(self.min_delay, self.max_delay)
-            try:
-                self._channels[dest][msg.msg_id] = msg
-            except KeyError:
-                self._channels[dest] = {msg.msg_id: msg}
-            return (msg,)
-        return self._submit_adversarial(msg, rng, now)
-
-    def submit_batch(self, msgs: Sequence[Message], rng, now: float) -> List[Message]:
-        """Bulk sibling of :meth:`submit`: accept a burst of messages sent at
-        the same instant, drawing all delivery delays in one block.
-
-        Bitwise-identical to submitting each message individually: the fused
-        path only engages when no adversary is installed, no node has crashed
-        (a crashed destination consumes *no* delay draw on the per-message
-        path, so pre-drawing would desynchronise the stream) and ``rng``
-        exposes the :meth:`~repro.sim.rng.BatchedUniform.take` bulk draw.
-        Returns the accepted messages, each needing a delivery event.
-        """
-        if self.adversary is not None or self._crashed or not hasattr(rng, "take"):
-            accepted: List[Message] = []
-            for msg in msgs:
-                accepted.extend(self.submit(msg, rng, now))
-            return accepted
-        delays = rng.take(len(msgs))
-        next_id = self._msg_counter.__next__
-        stats = self.stats
-        stats.total_sent += len(msgs)
-        sent = stats._sent
-        channels = self._channels
-        for msg, delay in zip(msgs, delays):
-            msg_id = msg.msg_id = next_id()
-            msg.send_time = now
-            msg.deliver_time = now + delay
-            key = (msg.sender, msg.action)
-            sent[key] = sent.get(key, 0) + 1
-            dest = msg.dest
-            try:
-                channels[dest][msg_id] = msg
-            except KeyError:
-                channels[dest] = {msg_id: msg}
-        if stats._derived:
-            stats._derived.clear()
-        return list(msgs)
-
-    def _submit_adversarial(self, msg: Message, rng, now: float) -> Sequence[Message]:
-        """Slow path of :meth:`submit`: consult the adversary for loss,
-        duplication and delay scaling."""
-        verdict = self.adversary.on_submit(msg, now)
-        if verdict.drop_reason is not None:
-            self.stats.record_drop(verdict.drop_reason)
-            return ()
-        if verdict.duplicates:
-            self.stats.record_duplicate(verdict.duplicates)
-        accepted: List[Message] = []
-        for i in range(1 + verdict.duplicates):
-            copy = msg if i == 0 else replace(msg, msg_id=next(self._msg_counter))
-            delay = rng.uniform(self.min_delay, self.max_delay) * verdict.delay_factor
-            copy.deliver_time = now + delay
-            self._channels.setdefault(copy.dest, {})[copy.msg_id] = copy
-            accepted.append(copy)
-        return accepted
-
-    def inject_initial(self, msg: Message) -> Message:
-        """Place a (possibly corrupted) message into a channel without
-        accounting it as protocol traffic.  Used by adversarial initial-state
-        generators; the simulator still schedules its delivery."""
-        msg.msg_id = next(self._msg_counter)
-        msg.corrupted = True
-        if msg.dest in self._crashed:
-            return msg
-        self._channels.setdefault(msg.dest, {})[msg.msg_id] = msg
-        return msg
-
     # -------------------------------------------------------------- delivery
-    def pop(self, msg: Message) -> Optional[Message]:
-        """Remove ``msg`` from its channel at delivery time.
-
-        Returns the message if it is still pending (normal case) or ``None``
-        if the destination crashed after the message was sent.
-        """
-        channel = self._channels.get(msg.dest)
-        if channel is None:
-            return None
-        pending = channel.pop(msg.msg_id, None)
-        if pending is None:
-            return None
-        adversary = self.adversary
-        if adversary is not None:
-            # Delivery-time check: a message can be in flight when a partition
-            # starts; it must not cross the cut while the partition is active.
-            reason = adversary.on_deliver(pending, pending.deliver_time)
-            if reason is not None:
-                self.stats.record_drop(reason)
-                return None
-        stats = self.stats
-        stats.total_delivered += 1
-        if stats.delivery_latency is not None:
-            stats.delivery_latency.record(
-                pending.deliver_time - pending.send_time)
-        key = (pending.dest, pending.action)
-        received = stats._received
-        received[key] = received.get(key, 0) + 1
-        if stats._derived:
-            stats._derived.clear()
-        return pending
-
     def pop_record(self, record: tuple) -> bool:
-        """Record-form sibling of :meth:`pop` for fast-path in-flight tuples.
+        """Account ``record`` as delivered, if it still is deliverable.
 
         Returns ``True`` if the record was still pending and is now accounted
         as delivered; ``False`` if the destination crashed after the send or
-        an adversary installed *since* the send (e.g. between scenario runs
-        with traffic still in flight) vetoed delivery.  The record is only
-        materialised into a :class:`Message` on that rare adversarial check.
-
-        Channel-free records (``msg_id == -1``, the only kind the engine has
-        produced since PR 10) replace the channel pop with a crashed-set
-        test — the two are equivalent because only :meth:`mark_crashed` could
-        remove a record's channel entry.  The legacy branch stays for records
-        with a real ``msg_id`` (hand-built fixtures, pre-migration state).
+        the installed adversary vetoed delivery (a partition that started
+        while the message was in flight).  The per-event reference form of
+        the engine's fused block-drain delivery (:meth:`Simulator.step`).
         """
-        if record[REC_MSG_ID] == -1:
-            if record[REC_DEST] in self._crashed:
-                return False
-        else:
-            channel = self._channels.get(record[REC_DEST])
-            if channel is None:
-                return False
-            if channel.pop(record[REC_MSG_ID], None) is None:
-                return False
+        dest = record[REC_DEST]
+        if dest in self._crashed:
+            return False
+        time = record[REC_DELIVER_TIME]
         adversary = self.adversary
         if adversary is not None:
-            reason = adversary.on_deliver(record_to_message(record),
-                                          record[REC_DELIVER_TIME])
+            reason = adversary.on_deliver(record[REC_SENDER], dest, time)
             if reason is not None:
                 self.stats.record_drop(reason)
                 return False
         stats = self.stats
         stats.total_delivered += 1
         if stats.delivery_latency is not None:
-            stats.delivery_latency.record(
-                record[REC_DELIVER_TIME] - record[REC_SEND_TIME])
-        key = (record[REC_DEST], record[REC_ACTION])
+            stats.delivery_latency.record(time - record[REC_SEND_TIME])
+        key = (dest, record[REC_ACTION])
         received = stats._received
         received[key] = received.get(key, 0) + 1
         if stats._derived:
@@ -716,47 +556,31 @@ class Network:
         return True
 
     # ------------------------------------------------------------ inspection
-    def _iter_pending_fast(self) -> Iterator[tuple]:
-        """Yield the channel-free fast records still awaiting delivery.
+    def _iter_pending(self) -> Iterator[tuple]:
+        """Yield the records still awaiting delivery.
 
-        Pulled from the scheduler backlog (:attr:`_pending_records`),
-        filtered down to records whose destination is alive — exactly the
-        records the old per-destination channels would have held.  Records
+        Pulled from the scheduler backlog (:attr:`_pending_records`) and
+        filtered down to records whose destination is alive.  Records
         addressed to crashed nodes stay queued (the engine skips them at
-        delivery time), so they are filtered here the way
-        :meth:`mark_crashed` used to discard their channel entries.
+        delivery time), so they are filtered here.
         """
         source = self._pending_records
         if source is None:
             return
         crashed = self._crashed
         for event in source():
-            if event[REC_KIND] == FAST_RECORD_KIND and event[REC_DEST] not in crashed:
+            if event[REC_KIND] == RECORD_KIND and event[REC_DEST] not in crashed:
                 yield event
 
     def channel_of(self, node_id: int) -> List[Message]:
         """Return the in-flight messages currently addressed to ``node_id``
-        (fast-path records materialised into :class:`Message` instances)."""
-        out = [_materialise(entry)
-               for entry in self._channels.get(node_id, {}).values()]
-        if node_id not in self._crashed:
-            out.extend(record_to_message(event)
-                       for event in self._iter_pending_fast()
-                       if event[REC_DEST] == node_id)
-        return out
+        (records materialised into :class:`Message` instances)."""
+        return [record_to_message(event) for event in self._iter_pending()
+                if event[REC_DEST] == node_id]
 
     def in_flight(self) -> int:
-        """Total number of undelivered messages (channel entries plus
-        channel-free fast records pending in the scheduler)."""
-        return (sum(len(ch) for ch in self._channels.values())
-                + sum(1 for _ in self._iter_pending_fast()))
-
-    def iter_in_flight(self) -> Iterator[Message]:
-        for channel in self._channels.values():
-            for entry in channel.values():
-                yield record_to_message(entry) if type(entry) is tuple else entry
-        for event in self._iter_pending_fast():
-            yield record_to_message(event)
+        """Total number of undelivered messages."""
+        return sum(1 for _ in self._iter_pending())
 
     def implicit_edges(self) -> List[tuple[int, int]]:
         """Edges ``(u, v)`` where a message in flight to ``u`` carries a
@@ -765,23 +589,14 @@ class Network:
         Reference-carrying parameters are recognised by convention: any
         parameter named ``node``, ``ref``, ``pred``, ``succ`` or ending in
         ``_ref`` whose value is an ``int`` is treated as a node reference.
-        Reads fast-path records in place — no materialisation needed.
+        Reads records in place — no materialisation needed.
         """
         edges = []
-
-        def _collect(dest: int, params: Dict[str, Any]) -> None:
-            for key, value in params.items():
+        for event in self._iter_pending():
+            dest = event[REC_DEST]
+            for key, value in event[REC_PARAMS].items():
                 if not isinstance(value, int):
                     continue
                 if key in ("node", "ref", "pred", "succ", "sender") or key.endswith("_ref"):
                     edges.append((dest, value))
-
-        for channel in self._channels.values():
-            for entry in channel.values():
-                if type(entry) is tuple:
-                    _collect(entry[REC_DEST], entry[REC_PARAMS])
-                else:
-                    _collect(entry.dest, entry.params)
-        for event in self._iter_pending_fast():
-            _collect(event[REC_DEST], event[REC_PARAMS])
         return edges

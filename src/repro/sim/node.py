@@ -131,12 +131,11 @@ class ProtocolNode:
         nothing.  Crashed nodes never send.
 
         This is the per-message hot path: the kwargs dict is freshly built by
-        the call itself, so it is handed over without the defensive copy
-        :meth:`Simulator.send_message` performs for external callers, and
+        the call itself, so it is handed over without a defensive copy, and
         submission goes through the simulator's prebound ``_send_fast``
         closure (network, scheduler and delay source resolved once per
-        simulator, not once per message), which on the no-adversary path
-        builds an in-flight record tuple instead of a :class:`Message`.
+        simulator, not once per message), which builds one in-flight record
+        tuple per accepted copy instead of a :class:`Message`.
         """
         if self.crashed or dest is None:
             return
@@ -175,11 +174,11 @@ class ProtocolNode:
             bound(**params)
             return
         # The topic is folded into the params dict IN PLACE: every message
-        # owns its params (send/send_message/inject_message copy or transfer
-        # ownership on construction), handlers only ever see the unpacked
-        # ``**params`` copy, and for adversarial duplicates — which share one
-        # dict — the write is idempotent.  This saves a dict copy on every
-        # topic-carrying delivery.
+        # owns its params (send transfers ownership, inject_message copies),
+        # handlers only ever see the unpacked ``**params`` copy, and for
+        # adversarial duplicates — which share one dict — the write is
+        # idempotent.  This saves a dict copy on every topic-carrying
+        # delivery.
         params = msg.params
         topic = msg.topic
         if topic is not None and "topic" not in params:

@@ -23,30 +23,21 @@ counter assigned by the simulator.  Within a wheel bucket events are sorted
 by that key, and buckets partition the time axis, so the global order is
 identical to the heap's.  Tests assert this parity for identical seeds.
 
-Beyond single pops, both schedulers support :meth:`EventScheduler.pop_batch`:
-one call removes and returns *every* pending event sharing the earliest
-timestamp, in ``seq`` order.  The engine drains such a batch in one scheduler
-round-trip instead of paying per-event queue traffic.  Batching cannot
-reorder anything: an event pushed *while* a batch is being processed carries
-a timestamp ``>= now`` and a seq greater than every batched event, so it
-sorts strictly after the whole batch under the ``(time, seq)`` order — both
+Beyond single pops, both schedulers support
+:meth:`EventScheduler.pop_batch_into`: one call removes *every* pending event
+sharing the earliest timestamp, in ``seq`` order.  Batching cannot reorder
+anything: an event pushed *while* a batch is being processed carries a
+timestamp ``>= now`` and a seq greater than every batched event, so it sorts
+strictly after the whole batch under the ``(time, seq)`` order — both
 schedulers hand it out on a later call, exactly as per-event popping would.
 
-**Block drains (PR 6).**  :meth:`EventScheduler.pop_block_into` generalises
-the same-timestamp batch to a *time window*: one call removes every pending
+**Block drains.**  :meth:`EventScheduler.pop_block_into` generalises the
+same-timestamp batch to a *time window*: one call removes every pending
 event with ``time`` strictly below a caller-supplied limit (for the wheel,
 bounded by the current bucket) as one array-level splice.  The engine picks
 the limit so that nothing a handler can schedule may land inside the window
-(see :meth:`~repro.sim.engine.Simulator.run_until_time`), which turns the
-whole window into a struct-of-arrays: the bucket slice *is* the packed event
-array, and draining it costs two C-level list operations instead of one
-queue round-trip per event.  :meth:`EventScheduler.pop_block_columns_into`
-exposes the same block as parallel ``time`` / ``kind`` / ``payload`` column
-lists (one C-level ``zip`` transpose) for consumers that want columnar
-access — the compiled core and the profiling tools.  Measured on CPython
-3.11, iterating the block's event rows beats indexing three parallel
-columns (~330 ns vs ~1 µs per event), so the pure-Python engine consumes
-the row form and the column form is an explicit view, not the hot path.
+(see :meth:`~repro.sim.engine.Simulator.run_until_time`), and draining it
+costs two C-level list operations instead of one queue round-trip per event.
 """
 
 from __future__ import annotations
@@ -61,7 +52,7 @@ _TIME_KEY = itemgetter(0)
 
 #: One scheduled event: (time, seq, kind, payload).  ``seq`` is unique, so the
 #: pair (time, seq) is a total order and kind/payload never get compared —
-#: which also lets the engine's fast-delivery records (10-tuples whose first
+#: which also lets the engine's message records (10-tuples whose first
 #: three positions follow this layout; see :mod:`repro.sim.network`) mix
 #: freely with plain 4-tuple events in one queue.
 Event = Tuple[float, int, int, Any]
@@ -96,13 +87,6 @@ class EventScheduler:
         """
         raise NotImplementedError
 
-    def pop_batch(self, limit: float = _NO_LIMIT) -> List[Event]:
-        """Convenience wrapper over :meth:`pop_batch_into` returning a fresh
-        list (empty when nothing is due by ``limit``)."""
-        out: List[Event] = []
-        self.pop_batch_into(out, limit)
-        return out
-
     def pop_block_into(self, out: List[Event], limit: float) -> int:
         """Drain a block of events with ``time`` strictly below ``limit``.
 
@@ -117,7 +101,9 @@ class EventScheduler:
         and reuses it across calls.
 
         The default implementation loops :meth:`pop_batch_into`, so custom
-        schedulers inherit correct (if unaccelerated) block behaviour.
+        schedulers inherit correct (if unaccelerated) block behaviour; the
+        engine drains every scheduler that is not exactly a built-in one
+        through this base form.
         """
         count = 0
         while True:
@@ -126,25 +112,6 @@ class EventScheduler:
                 return count
             count += self.pop_batch_into(out, upcoming)
 
-    def pop_block_columns_into(self, times: List[float], kinds: List[int],
-                               payloads: List[Any], limit: float) -> int:
-        """Columnar form of :meth:`pop_block_into`: the same block appended
-        to three parallel column lists (``time``, ``kind``, ``payload`` —
-        for deliveries the payload *is* the destination-keyed record, for
-        timeouts/crashes it is the destination node id).  One C-level
-        transpose; no per-event Python iteration.  Returns the block size.
-        """
-        block: List[Event] = []
-        count = self.pop_block_into(block, limit)
-        if count:
-            times += [event[0] for event in block]
-            kinds += [event[2] for event in block]
-            # Fast-delivery records (see repro.sim.network) embed their
-            # payload in the event tuple itself; the row IS the payload.
-            payloads += [event[3] if len(event) == 4 else event
-                         for event in block]
-        return count
-
     def next_time(self) -> Optional[float]:
         """Timestamp of the earliest pending event, or ``None`` when empty."""
         raise NotImplementedError
@@ -152,15 +119,12 @@ class EventScheduler:
     def iter_events(self):
         """Iterate over every pending event in **arbitrary** order.
 
-        A cold introspection surface: the network's in-flight views read
-        channel-free fast-delivery records (PR 10) straight out of the queue
-        through it, and the arena derives per-node timeout deadlines from it.
-        The iterator must not be used across a mutation (push/pop).  The
-        default yields nothing, so custom schedulers stay correct for the
-        engine (which routes their sends through Message channels) and may
-        override to expose their backlog.
+        A cold introspection surface: the network's in-flight views read the
+        pending message records straight out of the queue through it, so
+        every scheduler must expose its whole backlog.  The iterator must not
+        be used across a mutation (push/pop).
         """
-        return iter(())
+        raise NotImplementedError
 
     def __len__(self) -> int:
         raise NotImplementedError

@@ -15,8 +15,9 @@ emit sites to the protocol code:
 
 Publication→delivery latency is *not* recorded here: it lives in
 ``ChannelStats.delivery_latency`` (enabled by ``SimulatorConfig.telemetry``)
-because it must be observed per message inside the network pop path.  The
-recorder only serializes it alongside its own state in :meth:`to_dict`.
+because it is observed per delivered message inside the engine's block
+drain, from each record's send time.  The recorder only serializes it
+alongside its own state in :meth:`to_dict`.
 """
 
 from __future__ import annotations

@@ -114,6 +114,16 @@ class TestSystemSpecRoundTrip:
         with pytest.raises(ValueError, match="check_every_rounds"):
             SystemSpec(check_every_rounds=0)
 
+    def test_zero_min_delay_is_rejected_by_the_spec(self):
+        # The block drain's window needs strictly positive delays; the spec
+        # layer must refuse a zero delay instead of deferring to the build.
+        with pytest.raises(ValueError, match="min_delay must be positive"):
+            SystemSpec(sim=SimulatorConfig(min_delay=0.0, max_delay=1.0))
+        with pytest.raises(ValueError, match="min_delay must be positive"):
+            build_system(SystemSpec.from_dict({"sim": {"min_delay": 0.0}}))
+        system = build_system(SystemSpec(sim=SimulatorConfig(min_delay=1e-6)))
+        assert system.sim.network.min_delay == 1e-6
+
     def test_named_defaults_replace_the_magic_numbers(self):
         spec = SystemSpec()
         assert spec.max_rounds == DEFAULT_MAX_ROUNDS == 2_000

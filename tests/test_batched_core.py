@@ -1,7 +1,7 @@
-"""PR 6 tests: block-drain edge cases, the columnar scheduler path, the
-50k-node heap-vs-wheel event-log parity gate, the monotone-seq bucket sort
-contract, the optional compiled-core introspection, and the deprecated
-``repro.perf.case_runner`` shim."""
+"""Block-drain edge cases, the 50k-node heap-vs-wheel event-log
+parity gate, the monotone-seq bucket sort contract, the optional
+compiled-core introspection, and the deprecated ``repro.perf.case_runner``
+shim."""
 
 from __future__ import annotations
 
@@ -48,10 +48,6 @@ class TestBlockDrainEdges:
             out = []
             assert scheduler.pop_block_into(out, limit=10.0) == 0
             assert out == []
-            times, kinds, payloads = [], [], []
-            assert scheduler.pop_block_columns_into(
-                times, kinds, payloads, limit=10.0) == 0
-            assert times == kinds == payloads == []
             assert scheduler.next_time() is None
             assert len(scheduler) == 0
 
@@ -108,48 +104,6 @@ class TestBlockDrainEdges:
             _drain_block(heap, drained_heap, limit)
         assert drained_wheel == drained_heap
         assert drained_wheel == sorted(events)
-
-    def test_columnar_path_matches_rowwise_and_heap(self):
-        """``pop_block_columns_into`` transposes the identical block on both
-        schedulers: 4-tuple payloads surface as ``event[3]``, fast 10-tuple
-        records surface as the whole row."""
-        rng = random.Random(7)
-        rows = []
-        for seq in range(300):
-            time = rng.uniform(0.0, 5.0)
-            if seq % 3:
-                rows.append((time, seq, 4, seq + 1, "Ping", None, None,
-                             0, time, seq))  # fast-record shape (10-tuple)
-            else:
-                rows.append(_event(time, seq, payload=seq + 1))
-        heap, wheel = HeapScheduler(), TimeoutWheelScheduler(bucket_width=0.5)
-        reference = HeapScheduler()
-        for row in rows:
-            heap.push(row)
-            wheel.push(row)
-            reference.push(row)
-        columns = {}
-        for name, scheduler in (("heap", heap), ("wheel", wheel)):
-            times, kinds, payloads = [], [], []
-            count = 0
-            limit = 0.0
-            while len(scheduler):
-                limit += 1.1
-                while True:
-                    got = scheduler.pop_block_columns_into(
-                        times, kinds, payloads, limit)
-                    if not got:
-                        break
-                    count += got
-            assert count == len(rows)
-            columns[name] = (times, kinds, payloads)
-        assert columns["heap"] == columns["wheel"]
-        block = []
-        _drain_block(reference, block, limit=100.0)
-        assert columns["heap"][0] == [event[0] for event in block]
-        assert columns["heap"][1] == [event[2] for event in block]
-        assert columns["heap"][2] == [
-            event[3] if len(event) == 4 else event for event in block]
 
 
 class _Recorder(ProtocolNode):

@@ -56,6 +56,13 @@ class TestBatchedUniform:
         assert draws.pending() == 7
 
 
+def _pop_batch(scheduler, limit=float("inf")):
+    """The earliest same-timestamp batch as a fresh list."""
+    out = []
+    scheduler.pop_batch_into(out, limit)
+    return out
+
+
 class TestPopBatch:
     @staticmethod
     def _fill(events):
@@ -69,17 +76,17 @@ class TestPopBatch:
         events = [(1.0, 0, 0, "a"), (1.0, 1, 0, "b"), (1.0, 2, 0, "c"),
                   (2.0, 3, 0, "d")]
         for scheduler in self._fill(events):
-            batch = scheduler.pop_batch()
+            batch = _pop_batch(scheduler)
             assert batch == events[:3]
-            assert scheduler.pop_batch() == [events[3]]
+            assert _pop_batch(scheduler) == [events[3]]
             assert len(scheduler) == 0
 
     def test_limit_excludes_future_events(self):
         events = [(1.0, 0, 0, "a"), (5.0, 1, 0, "b")]
         for scheduler in self._fill(events):
-            assert scheduler.pop_batch(limit=0.5) == []
-            assert scheduler.pop_batch(limit=1.0) == [events[0]]
-            assert scheduler.pop_batch(limit=2.0) == []
+            assert _pop_batch(scheduler, limit=0.5) == []
+            assert _pop_batch(scheduler, limit=1.0) == [events[0]]
+            assert _pop_batch(scheduler, limit=2.0) == []
             assert len(scheduler) == 1
 
     def test_pop_batch_into_reuses_buffer_and_counts(self):
@@ -98,7 +105,7 @@ class TestPopBatch:
                   for seq in range(2_000)]
         heap, wheel = self._fill(events)
         while len(heap):
-            assert heap.pop_batch() == wheel.pop_batch()
+            assert _pop_batch(heap) == _pop_batch(wheel)
         assert len(wheel) == 0
 
 
