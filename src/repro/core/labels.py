@@ -18,9 +18,23 @@ labels handed out for ``x ∈ {2^d, ..., 2^{d+1}-1}`` fall exactly halfway
 between previously used positions, so consecutive joins are spread uniformly
 around the ring (the property behind Theorem 7's constant join overhead).
 
-Labels are represented as Python strings over ``{'0','1'}``; real values are
-exact :class:`fractions.Fraction` objects so that property-based tests can use
-arbitrarily long labels without floating-point error.
+Labels are represented as Python strings over ``{'0','1'}``.  The protocol
+computes on them with exact string and integer algebra, which works for
+arbitrarily long labels:
+
+* :func:`ring_key` orders ring positions: once trailing zeros (which do not
+  change ``r``) are stripped, plain ``str`` order is ``r`` order and ``str``
+  equality is ``r`` equality;
+* :func:`fixed_point` writes ``r(label)`` as an integer numerator over
+  ``2^width``, so sums, differences and reflections are integer arithmetic
+  modulo ``2^width`` and :func:`label_from_fixed` turns the result back into
+  the shortest label.
+
+These helpers trust their input: a label is validated once, where possibly
+corrupted state enters (the message handlers and the shortcut entry points),
+with :func:`is_valid_label`.  :func:`r_value`, :func:`r_float` and
+:func:`label_from_r` are the exact :class:`fractions.Fraction` accessors for
+reports and tests; no protocol code path calls them.
 """
 
 from __future__ import annotations
@@ -101,6 +115,49 @@ def label_from_r(value: Fraction) -> Label:
     return format(value.numerator, f"0{bits}b")
 
 
+def ring_key(label: Label) -> str:
+    """Order key of a valid label's ring position.
+
+    Trailing zeros do not change ``r``; without them, ``str`` order is ``r``
+    order and ``str`` equality is ``r`` equality (``'0'`` and ``'00'`` both
+    map to ``''``, the position ``0``).
+
+    >>> sorted(['1', '01', '010', '0'], key=ring_key)
+    ['0', '01', '010', '1']
+    """
+    return label.rstrip("0")
+
+
+def fixed_point(label: Label, width: int) -> int:
+    """``r(label) · 2^width`` for a valid label of at most ``width`` bits.
+
+    >>> fixed_point('101', 4)
+    10
+    """
+    return int(label, 2) << (width - len(label))
+
+
+def label_from_fixed(value: int, width: int) -> Label:
+    """The shortest label ``y`` with ``r(y) = value / 2^width``
+    (``0 <= value < 2^width``); the inverse of :func:`fixed_point`.
+
+    >>> label_from_fixed(10, 4)
+    '101'
+    >>> label_from_fixed(0, 4)
+    '0'
+    """
+    return format(value, f"0{width}b").rstrip("0") or "0"
+
+
+def closer_to(own: Label, label_a: Label, label_b: Label) -> bool:
+    """True if ``label_a`` is strictly closer to ``own`` than ``label_b`` is,
+    by the linear distance ``|r(x) − r(own)|`` (the linearization rule and
+    SetData's "is the stored neighbour closer?" check, Algorithm 4 line 18)."""
+    width = max(len(own), len(label_a), len(label_b))
+    origin = fixed_point(own, width)
+    return abs(fixed_point(label_a, width) - origin) < abs(fixed_point(label_b, width) - origin)
+
+
 def label_length(label: Label) -> int:
     """``|label|`` — the number of bits of the (canonical) label."""
     _validate(label)
@@ -121,17 +178,13 @@ def labels_up_to(n: int) -> List[Label]:
 
 def sort_by_r(labels: Iterable[Label]) -> List[Label]:
     """Sort labels by their position on the ring (ascending ``r``-value)."""
-    return sorted(labels, key=r_value)
+    return sorted(labels, key=_checked_ring_key)
 
 
 def compare(label_a: Label, label_b: Label) -> int:
     """Three-way comparison of ring positions: -1, 0 or +1."""
-    ra, rb = r_value(label_a), r_value(label_b)
-    if ra < rb:
-        return -1
-    if ra > rb:
-        return 1
-    return 0
+    key_a, key_b = _checked_ring_key(label_a), _checked_ring_key(label_b)
+    return (key_a > key_b) - (key_a < key_b)
 
 
 def ring_distance(label_a: Label, label_b: Label) -> Fraction:
@@ -141,18 +194,14 @@ def ring_distance(label_a: Label, label_b: Label) -> Fraction:
 
 
 def linear_distance(label_a: Label, label_b: Label) -> Fraction:
-    """Absolute difference of ``r``-values (used by the linearization rule and
-    by SetData's "is the stored neighbour closer?" check, Algorithm 4 line 18)."""
+    """Absolute difference of ``r``-values.  The protocol compares such
+    distances with :func:`closer_to`, which needs no fractions."""
     return abs(r_value(label_a) - r_value(label_b))
 
 
 def is_valid_label(label: object) -> bool:
     """True if ``label`` is a non-empty string over {'0','1'}."""
-    return (
-        isinstance(label, str)
-        and len(label) > 0
-        and all(c in "01" for c in label)
-    )
+    return isinstance(label, str) and label != "" and not label.strip("01")
 
 
 def is_canonical_label(label: object) -> bool:
@@ -200,3 +249,8 @@ def count_labels_of_length(k: int, n: Optional[int] = None) -> int:
 def _validate(label: object) -> None:
     if not is_valid_label(label):
         raise ValueError(f"invalid label: {label!r}")
+
+
+def _checked_ring_key(label: Label) -> str:
+    _validate(label)
+    return ring_key(label)

@@ -24,22 +24,24 @@ legitimate configurations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Set
 
 from repro.core.labels import (
     Label,
+    fixed_point,
     is_valid_label,
-    label_from_r,
+    label_from_fixed,
     label_length,
-    r_value,
 )
 
 
 def _reflect(neighbor: Label, own: Label) -> Label:
-    """The label ``s`` with ``r(s) = 2·r(neighbor) − r(own) (mod 1)``."""
-    value = (2 * r_value(neighbor) - r_value(own)) % 1
-    return label_from_r(value)
+    """The shortest label ``s`` with ``r(s) = 2·r(neighbor) − r(own) (mod 1)``,
+    computed on ``width``-bit fixed-point integers modulo ``2^width``
+    (exact: ``width`` is the longer label's length)."""
+    width = max(len(neighbor), len(own))
+    value = 2 * fixed_point(neighbor, width) - fixed_point(own, width)
+    return label_from_fixed(value % (1 << width), width)
 
 
 def shortcut_labels_from_neighbor(own: Label, neighbor: Optional[Label],
@@ -59,9 +61,9 @@ def shortcut_labels_from_neighbor(own: Label, neighbor: Optional[Label],
         return []
     result: List[Label] = []
     current = neighbor
-    own_len = label_length(own)
+    own_len = len(own)
     for _ in range(max_steps):
-        if label_length(current) <= own_len:
+        if len(current) <= own_len:
             # The neighbour itself is not longer than us: nothing to derive on
             # this side (its edge is already a ring edge).
             if current == neighbor:
@@ -69,7 +71,7 @@ def shortcut_labels_from_neighbor(own: Label, neighbor: Optional[Label],
             break
         current = _reflect(current, own)
         result.append(current)
-        if label_length(current) <= own_len:
+        if len(current) <= own_len:
             break
     return result
 
@@ -99,13 +101,15 @@ def shortcut_labels_closed_form(own: Label, top_level: int) -> Set[Label]:
     """
     if not is_valid_label(own):
         return set()
-    own_len = label_length(own)
-    own_r = r_value(own)
+    own_len = len(own)
+    width = max(own_len, top_level)
+    own_fixed = fixed_point(own, width)
+    modulus = 1 << width
     targets: Set[Label] = set()
     for level in range(own_len, top_level):
-        step = Fraction(1, 2 ** level)
+        step = 1 << (width - level)
         for direction in (+1, -1):
-            targets.add(label_from_r((own_r + direction * step) % 1))
+            targets.add(label_from_fixed((own_fixed + direction * step) % modulus, width))
     targets.discard(own)
     return targets
 

@@ -19,11 +19,11 @@ import networkx as nx
 
 from repro.core.labels import (
     Label,
-    label_length,
     label_of,
     labels_up_to,
     max_level,
     r_value,
+    ring_key,
 )
 from repro.core.shortcuts import shortcut_labels
 
@@ -47,6 +47,9 @@ class SkipRingTopology:
             lbl: i for i, lbl in enumerate(self.labels)
         }
         self.top_level = max_level(n)
+        #: node indices in ring order, and each node's position in it
+        self._order: List[int] = sorted(range(n), key=lambda i: ring_key(self.labels[i]))
+        self._position: Dict[int, int] = {node: pos for pos, node in enumerate(self._order)}
         self._ring_edges: Optional[Set[Edge]] = None
         self._shortcut_edges: Optional[Dict[int, Set[Edge]]] = None
 
@@ -55,10 +58,8 @@ class SkipRingTopology:
         """Node indices sorted by ring position, restricted to ``K_level``
         (nodes with label length ≤ level).  ``None`` means all nodes."""
         if level is None:
-            members = range(self.n)
-        else:
-            members = [i for i in range(self.n) if label_length(self.labels[i]) <= level]
-        return sorted(members, key=lambda i: r_value(self.labels[i]))
+            return list(self._order)
+        return [i for i in self._order if len(self.labels[i]) <= level]
 
     @staticmethod
     def _cycle_edges(order: List[int]) -> Set[Edge]:
@@ -91,7 +92,7 @@ class SkipRingTopology:
                     if edge in ring:
                         continue
                     u, v = edge
-                    lvl = max(label_length(self.labels[u]), label_length(self.labels[v]))
+                    lvl = max(len(self.labels[u]), len(self.labels[v]))
                     by_level[lvl].add(edge)
             self._shortcut_edges = dict(by_level)
         return {lvl: set(edges) for lvl, edges in self._shortcut_edges.items()}
@@ -112,8 +113,8 @@ class SkipRingTopology:
 
     def ring_neighbors(self, node: int) -> Tuple[int, int]:
         """(predecessor, successor) of ``node`` on the full ring."""
-        order = self.ring_order()
-        pos = order.index(node)
+        order = self._order
+        pos = self._position[node]
         return order[pos - 1], order[(pos + 1) % len(order)]
 
     def neighbors(self, node: int) -> Set[int]:
@@ -168,8 +169,8 @@ class SkipRingTopology:
         * ``shortcuts`` maps shortcut labels (as computed locally by the
           protocol from the ring-neighbour labels) to node indices.
         """
-        order = self.ring_order()
-        pos = order.index(node)
+        order = self._order
+        pos = self._position[node]
         own_label = self.labels[node]
         pred = order[pos - 1] if pos > 0 else None
         succ = order[pos + 1] if pos + 1 < len(order) else None

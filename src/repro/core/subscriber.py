@@ -25,13 +25,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from repro.core import messages as msg
 from repro.core.config import ProtocolParams
-from repro.core.labels import (
-    Label,
-    is_valid_label,
-    label_length,
-    linear_distance,
-    r_value,
-)
+from repro.core.labels import Label, closer_to, is_valid_label, ring_key
 from repro.core.shortcuts import shortcut_labels, shortcut_labels_from_neighbor
 from repro.pubsub.antientropy import (
     handle_check_and_publish,
@@ -103,7 +97,7 @@ class TopicView:
         if self.left is not None:
             return self.left
         if self.ring is not None and self.label is not None and \
-                r_value(self.ring.label) > r_value(self.label):
+                ring_key(self.ring.label) > ring_key(self.label):
             return self.ring
         return None
 
@@ -112,7 +106,7 @@ class TopicView:
         if self.right is not None:
             return self.right
         if self.ring is not None and self.label is not None and \
-                r_value(self.ring.label) < r_value(self.label):
+                ring_key(self.ring.label) < ring_key(self.label):
             return self.ring
         return None
 
@@ -176,12 +170,12 @@ class TopicView:
         """Re-linearize neighbours that are on the wrong side of our label and
         ring pointers that should not exist (Algorithms 1–2 Timeout)."""
         assert self.label is not None
-        own = r_value(self.label)
-        if self.left is not None and r_value(self.left.label) >= own:
+        own = ring_key(self.label)
+        if self.left is not None and ring_key(self.left.label) >= own:
             stale = self.left
             self.left = None
             self._integrate(stale.label, stale.ref)
-        if self.right is not None and r_value(self.right.label) <= own:
+        if self.right is not None and ring_key(self.right.label) <= own:
             stale = self.right
             self.right = None
             self._integrate(stale.label, stale.ref)
@@ -220,7 +214,7 @@ class TopicView:
                 self.send_supervisor(msg.GET_CONFIGURATION, node=self.node_id)
                 self.owner.configuration_requests += 1
             return
-        probability = self.params.request_probability(label_length(self.label))
+        probability = self.params.request_probability(len(self.label))
         if self.rng.random() < probability:
             self.send_supervisor(msg.GET_CONFIGURATION, node=self.node_id)
             self.owner.configuration_requests += 1
@@ -290,9 +284,9 @@ class TopicView:
         if self.label is None:
             self.send(cand_ref, msg.REMOVE_CONNECTIONS, node=self.node_id)
             return
-        own = r_value(self.label)
-        cand_r = r_value(cand_label)
-        if cand_r == own:
+        own = ring_key(self.label)
+        cand_key = ring_key(cand_label)
+        if cand_key == own:
             # Two nodes claiming the same ring position: only the supervisor
             # can resolve this; ask it to refresh the other node.
             self.send_supervisor(msg.GET_CONFIGURATION, node=cand_ref)
@@ -300,7 +294,7 @@ class TopicView:
         if cyc:
             self._integrate_cycle(cand_label, cand_ref)
             return
-        if cand_r < own:
+        if cand_key < own:
             self._integrate_side("left", cand_label, cand_ref)
         else:
             self._integrate_side("right", cand_label, cand_ref)
@@ -315,9 +309,7 @@ class TopicView:
             if current.label != cand_label:
                 setattr(self, side, Neighbor(cand_label, cand_ref))
             return
-        own = r_value(self.label)
-        cand_closer = abs(r_value(cand_label) - own) < abs(r_value(current.label) - own)
-        if cand_closer:
+        if closer_to(self.label, cand_label, current.label):
             setattr(self, side, Neighbor(cand_label, cand_ref))
             # Delegate the displaced neighbour to the new, closer one.
             self.send(cand_ref, msg.LINEARIZE, node=current.ref, label=current.label)
@@ -329,9 +321,7 @@ class TopicView:
         """Handle an introduction flagged CYC: the sender believes we are an
         endpoint of the sorted list and it is our wrap-around partner."""
         assert self.label is not None
-        own = r_value(self.label)
-        cand_r = r_value(cand_label)
-        if cand_r > own:
+        if ring_key(cand_label) > ring_key(self.label):
             # The candidate is larger, so we would be the minimum.
             if self.left is None:
                 self._keep_farthest_ring(cand_label, cand_ref, prefer_larger=True)
@@ -350,9 +340,9 @@ class TopicView:
         if self.ring is None or self.ring.ref == cand_ref:
             self.ring = Neighbor(cand_label, cand_ref)
             return
-        current_r = r_value(self.ring.label)
-        cand_r = r_value(cand_label)
-        keep_candidate = cand_r > current_r if prefer_larger else cand_r < current_r
+        current_key = ring_key(self.ring.label)
+        cand_key = ring_key(cand_label)
+        keep_candidate = cand_key > current_key if prefer_larger else cand_key < current_key
         if keep_candidate:
             loser = self.ring
             self.ring = Neighbor(cand_label, cand_ref)
@@ -443,7 +433,7 @@ class TopicView:
                 continue
             if current.ref in (proposed.ref, self.node_id):
                 continue
-            if linear_distance(current.label, label) <= linear_distance(proposed.label, label):
+            if not closer_to(label, proposed.label, current.label):
                 self.send_supervisor(msg.GET_CONFIGURATION, node=current.ref)
         self.label = label
         displaced: List[Neighbor] = []
@@ -476,9 +466,9 @@ class TopicView:
         displaced: List[Neighbor] = []
         if proposed is None or proposed.ref == self.node_id:
             return displaced
-        own = r_value(self.label)
-        proposed_r = r_value(proposed.label)
-        wrap = proposed_r > own if is_pred else proposed_r < own
+        own = ring_key(self.label)
+        proposed_key = ring_key(proposed.label)
+        wrap = proposed_key > own if is_pred else proposed_key < own
         if wrap:
             if self.ring is not None and self.ring.ref != proposed.ref:
                 displaced.append(self.ring)

@@ -27,8 +27,9 @@ from repro.core.labels import (
     Label,
     index_of,
     is_canonical_label,
+    is_valid_label,
     label_of,
-    r_value,
+    ring_key,
 )
 from repro.sim.node import NodeRef, ProtocolNode
 
@@ -60,13 +61,12 @@ class TopicDatabase:
 
     def sorted_entries(self) -> List[Entry]:
         """Entries sorted by ring position ``r(label)`` (corrupted labels that
-        are not valid bit strings sort last)."""
+        are not valid bit strings sort last, in stable order)."""
         def key(item: Tuple[Label, Optional[NodeRef]]):
             label = item[0]
-            try:
-                return (0, r_value(label))
-            except ValueError:
-                return (1, 0)
+            if is_valid_label(label):
+                return (0, ring_key(label))
+            return (1, "")
 
         return [(label, ref) for label, ref in sorted(self.entries.items(), key=key)
                 if ref is not None]
@@ -121,7 +121,8 @@ class TopicDatabase:
         n = len(self.entries)
         wanted = [label_of(i) for i in range(n)]
         missing = [w for w in wanted if w not in self.entries]
-        extras = sorted((label for label in self.entries if label not in set(wanted)),
+        wanted_set = set(wanted)
+        extras = sorted((label for label in self.entries if label not in wanted_set),
                         key=_label_sort_key, reverse=True)
         for hole, extra in zip(missing, extras):
             ref = self.entries.pop(extra)
